@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"regexp"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -125,6 +126,68 @@ func TestHighestReportable(t *testing.T) {
 		got, ok := highestReportable(c.n)
 		if got != c.want || ok != c.ok {
 			t.Errorf("highestReportable(%d) = %g, %v; want %g, %v", c.n, got, ok, c.want, c.ok)
+		}
+	}
+}
+
+// TestFullRunPercentiles checks that a run at BENCHMARK.json's settings,
+// on the default and the held-out seed, has enough samples for every
+// percentile whose sample count the inputs fix. Every run also checks
+// each percentile metric it reports, and fails if one is unsupported.
+func TestFullRunPercentiles(t *testing.T) {
+	b, err := os.ReadFile(filepath.Join("..", "BENCHMARK.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var spec struct {
+		Command    []string
+		RunSeconds float64 `json:"run_seconds"`
+	}
+	if err := json.Unmarshal(b, &spec); err != nil {
+		t.Fatal(err)
+	}
+	flags := map[string]string{}
+	for i := 0; i+1 < len(spec.Command); i++ {
+		if name, ok := strings.CutPrefix(spec.Command[i], "--"); ok {
+			flags[name] = spec.Command[i+1]
+		}
+	}
+	rate, err := strconv.ParseFloat(flags["daemon-rate"], 64)
+	if err != nil {
+		t.Fatalf("--daemon-rate in BENCHMARK.json: %v", err)
+	}
+	for _, seedFlag := range []string{"default-seed", "held-out-seed"} {
+		seed, err := strconv.ParseInt(flags[seedFlag], 10, 64)
+		if err != nil {
+			t.Fatalf("--%s in BENCHMARK.json: %v", seedFlag, err)
+		}
+		sched, _, err := daemonInputs(options{seed: seed, rate: rate, seconds: spec.RunSeconds})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resent := 0
+		for _, s := range sched {
+			if s.Resend {
+				resent++
+			}
+		}
+		cells := len(sessionCells(seed)) * tracedPasses
+		for _, c := range []struct {
+			name string
+			p    float64
+			n    int
+		}{
+			{"job_p95_ms", 95, len(sched) - resent},
+			{"repeat_job_p50_ms", 50, resent},
+			{"loadgen.lag_ms.p95", 95, len(sched)},
+			{"server.submit_rtt_us.p50", 50, len(sched)},
+			{"server.result_rtt_ms.p50", 50, len(sched)},
+			{"session.new_ms.p50", 50, cells},
+			{"session.spawn_ms.p50", 50, cells},
+		} {
+			if !reportable(c.p, c.n) {
+				t.Errorf("seed %d: %s is p%g of %d samples", seed, c.name, c.p, c.n)
+			}
 		}
 	}
 }
@@ -252,7 +315,8 @@ func TestParseGCLine(t *testing.T) {
 }
 
 // TestSmoke builds the program and proteand and runs every workload at a
-// tiny size, untraced and traced.
+// tiny size, untraced and traced. The daemon runs long enough for its
+// latency percentiles to be reportable, which the program checks.
 func TestSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the benchmark")
@@ -267,8 +331,12 @@ func TestSmoke(t *testing.T) {
 	for _, w := range []string{"sessions", "fleet-wide", "daemon"} {
 		for _, trace := range []string{"0", "1"} {
 			t.Run(w+"/trace"+trace, func(t *testing.T) {
-				cmd := exec.Command(bench, "-workload", w, "-seed", "3", "-seconds", "1", "-trace", trace,
-					"-tiny", "-setups", "1", "-daemon-rate", "64", "-proteand", proteand, "-out", dir)
+				seconds := "1"
+				if w == "daemon" {
+					seconds = "12"
+				}
+				cmd := exec.Command(bench, "-workload", w, "-seed", "3", "-seconds", seconds, "-trace", trace,
+					"-tiny", "-daemon-rate", "24", "-proteand", proteand, "-out", dir)
 				var stdout, stderr bytes.Buffer
 				cmd.Stdout, cmd.Stderr = &stdout, &stderr
 				if err := cmd.Run(); err != nil {

@@ -122,7 +122,7 @@ func (d *daemonProc) dial(deadline time.Time) (*server.Client, error) {
 		if time.Now().After(deadline) {
 			return nil, fmt.Errorf("daemon not ready: %w (stderr: %q)", err, d.stderrTail())
 		}
-		time.Sleep(2 * time.Millisecond)
+		time.Sleep(250 * time.Microsecond)
 	}
 }
 
@@ -181,13 +181,15 @@ func (d *daemonProc) stop() error {
 	}
 }
 
-// startMeasured starts the daemon setups times, each until the
-// handshake completes, and keeps the last one running. It returns the
-// median start-to-handshake time.
+// startMeasured starts the daemon the given number of times, each until
+// the handshake completes, and keeps the last one running. It returns
+// the median start-to-handshake time.
 func startMeasured(bin string, args []string, socket string, setups int) (*daemonProc, float64, error) {
 	var s samples
+	var t0 time.Time
 	for i := range setups {
-		t0 := time.Now()
+		time.Sleep(time.Until(t0.Add(setupGap)))
+		t0 = time.Now()
 		p, err := startDaemon(bin, args, socket)
 		if err != nil {
 			return nil, 0, err
@@ -488,7 +490,7 @@ func runDaemon(o options) (*report, error) {
 	if o.trace {
 		return traceDaemon(o, sched, specs, socket, rep)
 	}
-	p, setup, err := startMeasured(o.proteand, daemonArgs(socket), socket, o.setups)
+	p, setup, err := startMeasured(o.proteand, daemonArgs(socket), socket, o.setups())
 	if err != nil {
 		return nil, err
 	}
@@ -507,12 +509,13 @@ func runDaemon(o options) (*report, error) {
 	m["jobs_per_s"] = float64(lo.doneJobs) / wall
 	m["goodput_jobs_per_s"] = float64(lo.goodJobs) / wall
 	m["alloc_mb"] = lo.allocMB
+	m["cpu_ms_per_job"] = ms(lo.cpu) / float64(lo.doneJobs)
 	m["peak_rss_mb"] = lo.rssMB
-	m["job_p50_ms"] = lo.fresh.pct(50)
-	m["job_p95_ms"] = lo.fresh.pct(95)
-	m["repeat_job_p50_ms"] = lo.repeat.pct(50)
-	m["rpc_p50_us"] = lo.rpc.pct(50)
-	m["rpc_p99_us"] = lo.rpc.pct(99)
+	rep.setPct("job_p50_ms", lo.fresh, 50)
+	rep.setPct("job_p95_ms", lo.fresh, 95)
+	rep.setPct("repeat_job_p50_ms", lo.repeat, 50)
+	rep.setPct("rpc_p50_us", lo.rpc, 50)
+	rep.setPct("rpc_p99_us", lo.rpc, 99)
 	resent := 0
 	for _, s := range sched {
 		if s.Resend {
@@ -520,9 +523,6 @@ func runDaemon(o options) (*report, error) {
 		}
 	}
 	rep.note("%d submits at %g/s, %d resends (%.3f of submits); %d collections in the daemon", len(sched), o.rate, resent, float64(resent)/float64(len(sched)), lo.gcCount)
-	noteReportable(rep, "job", len(lo.fresh))
-	noteReportable(rep, "repeat_job", len(lo.repeat))
-	noteReportable(rep, "rpc", len(lo.rpc))
 	return rep, nil
 }
 
@@ -560,16 +560,19 @@ func traceDaemon(o options, sched []submit, specs [][]byte, socket string, rep *
 	setModeled(rep, lo.results)
 	wall := lo.end.Sub(lo.start)
 	m := rep.metrics
-	m["server.submit_rtt_us.p50"] = rec.durations("server.submit").median() * 1e6
-	m["server.result_rtt_ms.p50"] = rec.durations("server.result").median() * 1e3
+	rep.setPct("server.submit_rtt_us.p50", rec.durations("server.submit").scale(1e6), 50)
+	rep.setPct("server.result_rtt_ms.p50", rec.durations("server.result").scale(1e3), 50)
 	m["wire.encode_mb_per_s"] = ratio(float64(lo.encBytes)/(1<<20), lo.encTime.Seconds())
 	m["wire.decode_mb_per_s"] = ratio(float64(lo.encBytes)/(1<<20), lo.decTime.Seconds())
 	m["daemon.cpu_util"] = lo.cpu.Seconds() / (wall.Seconds() * float64(runtime.NumCPU()))
 	m["server.events_dropped"] = lo.dropped
-	m["loadgen.lag_ms.p99"] = lo.lag.pct(99)
+	rep.setPct("loadgen.lag_ms.p95", lo.lag, 95)
 	m["gc.count"] = float64(lo.gcCount)
 	m["gc.pause_ms"] = lo.gcPauseMS
-	m["trace.overhead_x"] = wall.Seconds() / plain.end.Sub(plain.start).Seconds()
+	// The open loop fixes both passes' wall time at the schedule's
+	// length, so the overhead is the daemon's CPU time, traced over
+	// untraced.
+	m["trace.overhead_x"] = ratio(lo.cpu.Seconds(), plain.cpu.Seconds())
 	if err := setCPUShares(context.Background(), rep, profilePath(o)); err != nil {
 		return nil, err
 	}

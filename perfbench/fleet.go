@@ -18,6 +18,12 @@ import (
 // renders every FleetResult as JSON. Iterations repeat the same
 // scenario; the first is fresh, later ones are repeats.
 
+// fleetMinIters is the fewest iterations a timed run makes. An
+// iteration takes about 14 s on one core of the reference host, so at
+// least 3 keeps the run's iteration count, and which rank its median
+// is, from hanging on whether two iterations fit in --seconds.
+const fleetMinIters = 3
+
 // warmFleet is the workload's set-up: it validates the scenario, which
 // builds every job template, and spawns each job identity once so that
 // the assembly caches are warm too.
@@ -74,7 +80,7 @@ type fleetOut struct {
 	replay    []time.Duration
 	marshal   time.Duration
 	jsonBytes int
-	jobLat    samples // ms from Start to each EventJobDone
+	cpu       time.Duration // this process's CPU time
 	alloc     uint64
 	jobs      int
 	okJobs    int
@@ -107,6 +113,7 @@ func fleetIteration(ctx context.Context, sc protean.Scenario, pols []protean.Pla
 	runtime.GC()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
+	cpu0 := selfCPU()
 	root := rec.begin("fleet", 0, iter)
 	t0 := time.Now()
 	r, err := protean.Start(ctx, sc, protean.WithRunProgress(sink), protean.WithRunPlacements(pols...))
@@ -146,14 +153,12 @@ func fleetIteration(ctx context.Context, sc protean.Scenario, pols []protean.Pla
 	t2 := time.Now()
 	rec.add("result.marshal", root, iter, tm, t2)
 	rec.end(root)
+	out.cpu = selfCPU() - cpu0
 	runtime.ReadMemStats(&after)
 
 	out.wall, out.resolve, out.execute, out.marshal = t2.Sub(t0), t1.Sub(t0), execEnd.Sub(t1), t2.Sub(tm)
 	out.alloc = after.TotalAlloc - before.TotalAlloc
 	out.digest = hex.EncodeToString(h.Sum(nil))[:16]
-	for _, d := range jobDone {
-		out.jobLat = append(out.jobLat, ms(d.Sub(t0)))
-	}
 	out.first = frs[0]
 	out.jobs = len(frs[0].Jobs)
 	if jobOK != len(jobDone) {
@@ -221,12 +226,10 @@ func runFleet(o options) (*report, error) {
 	}
 
 	var iters []fleetOut
-	poll := startPoller()
 	start := time.Now()
-	for len(iters) < 2 || time.Since(start).Seconds() < o.seconds {
+	for len(iters) < fleetMinIters || time.Since(start).Seconds() < o.seconds {
 		it, err := fleetIteration(ctx, sc, pols, nil, len(iters))
 		if err != nil {
-			poll.stop()
 			return nil, err
 		}
 		var first *fleetOut
@@ -237,20 +240,15 @@ func runFleet(o options) (*report, error) {
 		it.first = nil // keep one iteration's results alive at a time
 		iters = append(iters, it)
 	}
-	rpc := poll.stop()
 	rep.digest = iters[0].digest
 
-	var jps, good, mcps, alloc, lat, repeat samples
-	for i, it := range iters {
+	var jps, mcps, alloc, cpu samples
+	for _, it := range iters {
 		w := it.wall.Seconds()
 		jps = append(jps, float64(it.jobs)/w)
-		good = append(good, float64(it.okJobs)/w)
 		mcps = append(mcps, float64(it.cycles)/w/1e6)
 		alloc = append(alloc, float64(it.alloc)/(1<<20))
-		lat = append(lat, it.jobLat...)
-		if i > 0 {
-			repeat = append(repeat, it.jobLat...)
-		}
+		cpu = append(cpu, ms(it.cpu)/float64(it.jobs))
 	}
 	rss, err := peakRSSMB(os.Getpid())
 	if err != nil {
@@ -258,19 +256,12 @@ func runFleet(o options) (*report, error) {
 	}
 	m := rep.metrics
 	m["jobs_per_s"] = jps.median()
-	m["goodput_jobs_per_s"] = good.median()
 	m["sim_mcycles_per_s"] = mcps.median()
 	m["alloc_mb"] = alloc.median()
+	m["cpu_ms_per_job"] = cpu.median()
 	m["peak_rss_mb"] = rss
-	m["job_p50_ms"] = lat.pct(50)
-	m["job_p95_ms"] = lat.pct(95)
-	m["repeat_job_p50_ms"] = repeat.pct(50)
-	m["rpc_p50_us"] = rpc.pct(50)
-	m["rpc_p99_us"] = rpc.pct(99)
 	dup := 1 - 5.0/float64(fleetJobCount(sc))
 	rep.note("%d iterations of %d jobs on %d nodes; %.4f of jobs duplicate another", len(iters), fleetJobCount(sc), o.fleetSize().nodes, dup)
-	noteReportable(rep, "job", len(lat))
-	noteReportable(rep, "rpc", len(rpc))
 	return rep, nil
 }
 

@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
+	"syscall"
 	"time"
 )
 
@@ -89,6 +90,15 @@ func peakRSSMB(pid int) (float64, error) {
 		}
 	}
 	return 0, fmt.Errorf("no VmHWM in /proc/%d/status", pid)
+}
+
+// selfCPU returns this process's user plus system CPU time.
+func selfCPU() time.Duration {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		panic(err) // RUSAGE_SELF with a valid pointer cannot fail
+	}
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
 }
 
 // cpuTime reads a process's user plus system CPU time.

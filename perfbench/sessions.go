@@ -14,17 +14,16 @@ import (
 	"protean"
 )
 
-// The sessions workload runs the cells of sessionCells on nproc
-// goroutines through protean.New, Spawn and Run, pass after pass. Every
-// pass repeats the first byte for byte.
+// The sessions workload runs the cells of sessionCells on GOMAXPROCS
+// goroutines (one: see inProcessProcs) through protean.New, Spawn and
+// Run, pass after pass. Every pass repeats the first byte for byte.
 
 // cellOut is one executed cell.
 type cellOut struct {
-	res                *protean.Result
-	digest             [32]byte
-	newD, spawnD, runD time.Duration
-	total              time.Duration
-	err                error
+	res    *protean.Result
+	digest [32]byte
+	runD   time.Duration
+	err    error
 }
 
 // warmSessions is the workload's set-up: building and spawning every
@@ -66,7 +65,7 @@ func runCell(ctx context.Context, c cell, rec *recorder, req int) cellOut {
 	res, err := s.Run(ctx)
 	t3 := time.Now()
 	rec.add("session.run", root, req, t2, t3)
-	out.newD, out.spawnD, out.runD, out.total = t1.Sub(t0), t2.Sub(t1), t3.Sub(t2), t3.Sub(t0)
+	out.runD = t3.Sub(t2)
 	if err != nil {
 		out.err = err
 		return out
@@ -88,6 +87,7 @@ func runCell(ctx context.Context, c cell, rec *recorder, req int) cellOut {
 type passOut struct {
 	cells []cellOut
 	wall  time.Duration
+	cpu   time.Duration // this process's CPU time
 	alloc uint64
 }
 
@@ -100,6 +100,7 @@ func runPass(ctx context.Context, cells []cell, workers int, rec *recorder, pass
 	runtime.GC()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
+	cpu0 := selfCPU()
 	t0 := time.Now()
 	next := make(chan int)
 	var wg sync.WaitGroup
@@ -118,6 +119,7 @@ func runPass(ctx context.Context, cells []cell, workers int, rec *recorder, pass
 	close(next)
 	wg.Wait()
 	out.wall = time.Since(t0)
+	out.cpu = selfCPU() - cpu0
 	runtime.ReadMemStats(&after)
 	out.alloc = after.TotalAlloc - before.TotalAlloc
 	return out
@@ -153,7 +155,7 @@ func sessionsDigest(p passOut) string {
 func (o options) cells() []cell {
 	cells := sessionCells(o.seed)
 	if o.tiny {
-		cells = cells[len(cells)-6:]
+		cells = cells[len(cells)-10:]
 	}
 	return cells
 }
@@ -161,7 +163,7 @@ func (o options) cells() []cell {
 func runSessions(o options) (*report, error) {
 	cells := o.cells()
 	rep := newReport()
-	workers := runtime.NumCPU()
+	workers := runtime.GOMAXPROCS(0)
 	if !o.trace {
 		setup, err := measureSetup(o)
 		if err != nil {
@@ -178,7 +180,6 @@ func runSessions(o options) (*report, error) {
 	}
 
 	var passes []passOut
-	poll := startPoller()
 	start := time.Now()
 	for len(passes) < 2 || time.Since(start).Seconds() < o.seconds {
 		p := runPass(ctx, cells, workers, nil, len(passes))
@@ -189,31 +190,21 @@ func runSessions(o options) (*report, error) {
 		checkPass(rep, cells, p, first)
 		passes = append(passes, p)
 	}
-	rpc := poll.stop()
 	rep.digest = sessionsDigest(passes[0])
 
-	var mcps, jps, good, alloc, lat, repeat samples
-	for pi, p := range passes {
+	var mcps, jps, alloc, cpu samples
+	for _, p := range passes {
 		var cycles float64
-		ok := 0
-		// Every pass runs the same cells, so a percentile over all
-		// passes falls at the same place in the mix of cells whatever
-		// the number of passes.
 		for _, co := range p.cells {
-			lat = append(lat, ms(co.total))
-			if pi > 0 {
-				repeat = append(repeat, ms(co.total))
-			}
 			if co.err == nil {
-				ok++
 				cycles += float64(co.res.Cycles)
 			}
 		}
 		w := p.wall.Seconds()
 		mcps = append(mcps, cycles/w/1e6)
 		jps = append(jps, float64(len(p.cells))/w)
-		good = append(good, float64(ok)/w)
 		alloc = append(alloc, float64(p.alloc)/(1<<20))
+		cpu = append(cpu, ms(p.cpu)/float64(len(p.cells)))
 	}
 	rss, err := peakRSSMB(os.Getpid())
 	if err != nil {
@@ -222,17 +213,10 @@ func runSessions(o options) (*report, error) {
 	m := rep.metrics
 	m["sim_mcycles_per_s"] = mcps.median()
 	m["jobs_per_s"] = jps.median()
-	m["goodput_jobs_per_s"] = good.median()
 	m["alloc_mb"] = alloc.median()
+	m["cpu_ms_per_job"] = cpu.median()
 	m["peak_rss_mb"] = rss
-	m["job_p50_ms"] = lat.pct(50)
-	m["job_p95_ms"] = lat.pct(95)
-	m["repeat_job_p50_ms"] = repeat.pct(50)
-	m["rpc_p50_us"] = rpc.pct(50)
-	m["rpc_p99_us"] = rpc.pct(99)
-	rep.note("%d passes of %d cells; %d session latencies, %d repeats, %d control queries", len(passes), len(cells), len(lat), len(repeat), len(rpc))
-	noteReportable(rep, "job", len(lat))
-	noteReportable(rep, "rpc", len(rpc))
+	rep.note("%d passes of %d cells", len(passes), len(cells))
 	return rep, nil
 }
 
@@ -310,8 +294,8 @@ func traceSessions(ctx context.Context, o options, cells []cell, workers int, re
 	m["session.ns_per_instr.baseline"] = perUnit("baseline", true)
 	m["session.ns_per_cycle.thrash"] = perUnit("thrash", false)
 	m["session.ns_per_cycle.gate"] = perUnit("gate", false)
-	m["session.new_ms.p50"] = rec.durations("session.new").median() * 1e3
-	m["session.spawn_ms.p50"] = rec.durations("session.spawn").median() * 1e3
+	rep.setPct("session.new_ms.p50", rec.durations("session.new").scale(1e3), 50)
+	rep.setPct("session.spawn_ms.p50", rec.durations("session.spawn").scale(1e3), 50)
 	m["trace.overhead_x"] = traced.Seconds() / untraced.Seconds()
 	setGC(rep, gc0, gc1)
 	if err := setCPUShares(ctx, rep, profilePath(o)); err != nil {

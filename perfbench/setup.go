@@ -23,18 +23,20 @@ func setupOnly(o options) error {
 	return fmt.Errorf("workload %s has no in-process set-up", o.workload)
 }
 
-// measureSetup starts this program o.setups times in set-up mode and
+// measureSetup starts this program o.setups() times in set-up mode and
 // returns the median time from process start until it reported ready.
 func measureSetup(o options) (float64, error) {
 	var s samples
-	for range o.setups {
+	var t0 time.Time
+	for range o.setups() {
+		time.Sleep(time.Until(t0.Add(setupGap)))
 		cmd := exec.Command(o.self, "-setup-child", "-workload", o.workload, "-seed", strconv.FormatInt(o.seed, 10), "-tiny="+strconv.FormatBool(o.tiny))
 		cmd.Stderr = os.Stderr
 		out, err := cmd.StdoutPipe()
 		if err != nil {
 			return 0, err
 		}
-		t0 := time.Now()
+		t0 = time.Now()
 		if err := cmd.Start(); err != nil {
 			return 0, err
 		}

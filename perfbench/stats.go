@@ -21,6 +21,15 @@ func (s samples) pct(p float64) float64 {
 
 func (s samples) median() float64 { return s.pct(50) }
 
+// scale returns the samples multiplied by k, as for a change of unit.
+func (s samples) scale(k float64) samples {
+	out := make(samples, len(s))
+	for i, v := range s {
+		out[i] = v * k
+	}
+	return out
+}
+
 // nearestRank is the 1-based rank of the p-th percentile of n sorted
 // values.
 func nearestRank(p float64, n int) int {
@@ -33,12 +42,15 @@ func nearestRank(p float64, n int) int {
 // highest first.
 var reportedPercentiles = []float64{99.9, 99, 95, 90, 50}
 
+// reportable says whether n samples have at least 10 beyond their p-th
+// percentile, the fewest a reported percentile may rest on.
+func reportable(p float64, n int) bool { return n-nearestRank(p, n) >= 10 }
+
 // highestReportable returns the highest percentile of reportedPercentiles
-// that has at least 10 of n samples beyond it, or false when even the
-// median has fewer.
+// that n samples support, or false when even the median has too few.
 func highestReportable(n int) (float64, bool) {
 	for _, p := range reportedPercentiles {
-		if n-nearestRank(p, n) >= 10 {
+		if reportable(p, n) {
 			return p, true
 		}
 	}

@@ -18,51 +18,6 @@ import (
 func ms(d time.Duration) float64 { return d.Seconds() * 1e3 }
 func us(d time.Duration) float64 { return d.Seconds() * 1e6 }
 
-// noteReportable records how many samples a timing has and the highest
-// percentile they support.
-func noteReportable(rep *report, what string, n int) {
-	if p, ok := highestReportable(n); ok {
-		rep.note("%s: %d samples, reportable up to p%g", what, n, p)
-	} else {
-		rep.note("%s: %d samples, too few for any percentile", what, n)
-	}
-}
-
-// poller issues an in-process control query, protean.HostMetrics, every
-// 2 ms while a batch workload runs, and times each from when it was due
-// until it returned: the in-process counterpart of the daemon's Status
-// round-trip under load.
-type poller struct {
-	quit chan struct{}
-	done chan samples
-}
-
-func startPoller() *poller {
-	p := &poller{quit: make(chan struct{}), done: make(chan samples, 1)}
-	go func() {
-		tk := time.NewTicker(2 * time.Millisecond)
-		defer tk.Stop()
-		var lat samples
-		for {
-			select {
-			case <-p.quit:
-				p.done <- lat
-				return
-			case due := <-tk.C:
-				_ = protean.HostMetrics()
-				lat = append(lat, us(time.Since(due)))
-			}
-		}
-	}()
-	return p
-}
-
-// stop ends the poller and returns its latencies in microseconds.
-func (p *poller) stop() samples {
-	close(p.quit)
-	return <-p.done
-}
-
 // initPerLayer sets every per-layer metric to 0, the value of a layer
 // the workload does not reach.
 func initPerLayer(rep *report) {
