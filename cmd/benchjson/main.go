@@ -2,8 +2,9 @@
 // BENCH_fabric.json (the simulation substrates — PFU settle engines,
 // configuration loads, bitstream decode, the equivalence prover) and
 // BENCH_cluster.json (the fleet layer — placement, lane batching, job
-// throughput at 1k-node scale, and the observability overhead ratio of
-// a traced versus untraced run). Each file runs its benchmark suite for
+// throughput at 1k-node scale, placement replay per policy at the
+// scenario caps, and the observability overhead ratio of a traced
+// versus untraced run). Each file runs its benchmark suite for
 // one iteration and records every reported metric (ns/op, allocs, and
 // the custom metrics the benchmarks emit — speedup-vs-gate-x,
 // jobs/sec, obs-overhead-x, ...) as a benchmark-name → metric map.
@@ -66,6 +67,7 @@ var suites = []struct {
 		runs: []benchRun{
 			{".", "^(BenchmarkClusterAffinityVsRoundRobin|BenchmarkClusterLaneBatching|" +
 				"BenchmarkFleet1kNodes|BenchmarkObsOverhead)$"},
+			{"./internal/cluster", "^BenchmarkReplay$"},
 		},
 	},
 	{

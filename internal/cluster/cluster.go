@@ -383,46 +383,49 @@ type Trace struct {
 	DeferCycles    uint64
 }
 
-// store is a node's bitstream store: an LRU set of configuration keys.
+// store is a node's bitstream store: an LRU set of interned
+// configuration keys (see index.ids).
 type store struct {
 	slots int
-	keys  []Key // least recently used first
+	keys  []int32 // least recently used first
 }
 
-// touch looks key up, refreshing recency. It reports a hit; on a miss the
-// key is inserted, evicting the least recently used key if the store is
-// full.
-func (st *store) touch(k Key) bool {
+// touch looks key id up, refreshing recency. It reports a hit; on a miss
+// the key is inserted, evicting the least recently used key if the store
+// is full, and evicted names that key (-1 when nothing was evicted).
+func (st *store) touch(id int32) (hit bool, evicted int32) {
 	for i, have := range st.keys {
-		if have == k {
+		if have == id {
 			copy(st.keys[i:], st.keys[i+1:])
-			st.keys[len(st.keys)-1] = k
-			return true
+			st.keys[len(st.keys)-1] = id
+			return true, -1
 		}
 	}
+	evicted = -1
 	if len(st.keys) >= st.slots {
+		evicted = st.keys[0]
 		copy(st.keys, st.keys[1:])
 		st.keys = st.keys[:len(st.keys)-1]
 	}
-	st.keys = append(st.keys, k)
-	return false
+	st.keys = append(st.keys, id)
+	return false, evicted
 }
 
-// holds reports whether key is resident without refreshing recency.
-func (st *store) holds(k Key) bool {
+// holds reports whether key id is resident without refreshing recency.
+func (st *store) holds(id int32) bool {
 	for _, have := range st.keys {
-		if have == k {
+		if have == id {
 			return true
 		}
 	}
 	return false
 }
 
-// nodeState is one node's mutable dispatcher state during replay.
+// nodeState is one node's mutable dispatcher state during replay; the
+// cycle its queue drains lives in the index (index.freeAt).
 type nodeState struct {
-	cfg    NodeConfig
-	freeAt uint64
-	store  store
+	cfg   NodeConfig
+	store store
 	// completions lists the completion cycle of every job placed here, in
 	// placement order (nondecreasing: the node serves FIFO); admission
 	// control derives queue depths from it.
@@ -438,15 +441,6 @@ func (ns *nodeState) depth(now uint64) int {
 	return len(ns.completions) - done
 }
 
-// slotFreeAt returns the earliest cycle >= now at which the node's depth
-// drops below bound. Call only with bound >= 1.
-func (ns *nodeState) slotFreeAt(now uint64, bound int) uint64 {
-	if ns.depth(now) < bound {
-		return now
-	}
-	return ns.completions[len(ns.completions)-bound]
-}
-
 // Fleet is the dispatcher's read-only view of the nodes at one placement
 // instant. PlacementPolicy implementations query it; all mutation happens
 // in the replay loop.
@@ -455,6 +449,7 @@ type Fleet struct {
 	now    uint64 // arrival cycle of the job being placed
 	placed int
 	rand   *rng.Stream
+	ix     index
 }
 
 // NumNodes returns the fleet size.
@@ -466,10 +461,10 @@ func (f *Fleet) Placed() int { return f.placed }
 // Backlog returns how many cycles of queued work node n has at the
 // current placement instant.
 func (f *Fleet) Backlog(n int) uint64 {
-	if f.nodes[n].freeAt <= f.now {
+	if f.ix.freeAt[n] <= f.now {
 		return 0
 	}
-	return f.nodes[n].freeAt - f.now
+	return f.ix.freeAt[n] - f.now
 }
 
 // ClockScale returns node n's clock multiplier, so capability-aware
@@ -477,7 +472,10 @@ func (f *Fleet) Backlog(n int) uint64 {
 func (f *Fleet) ClockScale(n int) int { return f.nodes[n].cfg.ClockScale }
 
 // Holds reports whether node n's bitstream store holds key k.
-func (f *Fleet) Holds(n int, k Key) bool { return f.nodes[n].store.holds(k) }
+func (f *Fleet) Holds(n int, k Key) bool {
+	id, ok := f.ix.ids[k]
+	return ok && f.nodes[n].store.holds(id)
+}
 
 // AffinityHits counts how many of the job's distinct configurations node
 // n already holds.
@@ -696,6 +694,12 @@ func Replay(cfg Config, jobs []Job, execs [][]Exec) (*Trace, error) {
 		f.nodes[i].cfg = nc
 		f.nodes[i].store.slots = nc.StoreSlots
 	}
+	bound := cfg.Admission.Bound
+	slotBound := 0
+	if cfg.Admission.Defer {
+		slotBound = bound
+	}
+	f.ix.init(f.nodes, jobs, slotBound)
 	tr := &Trace{
 		Policy: pol.Name(),
 		Jobs:   make([]JobTrace, len(jobs)),
@@ -705,7 +709,6 @@ func Replay(cfg Config, jobs []Job, execs [][]Exec) (*Trace, error) {
 		tr.Nodes[n].Class = nc.Class
 		tr.Nodes[n].ClockScale = nc.ClockScale
 	}
-	bound := cfg.Admission.Bound
 	for i := range jobs {
 		job := &jobs[i]
 		now := arrive[i]
@@ -731,12 +734,8 @@ func Replay(cfg Config, jobs []Job, execs [][]Exec) (*Trace, error) {
 			// A slot already free elsewhere (at == now) is a diversion,
 			// not a deferral — the job never waited, so it does not
 			// count toward the Deferred statistics.
-			freed, at := 0, f.nodes[0].slotFreeAt(now, bound)
-			for cand := 1; cand < len(f.nodes); cand++ {
-				if t := f.nodes[cand].slotFreeAt(now, bound); t < at {
-					freed, at = cand, t
-				}
-			}
+			freed := f.ix.slots.best(f.ix.slotRoot, now)
+			at := max(f.ix.slot[freed], now)
 			if at > now {
 				jt.Deferred = true
 				jt.DeferCycles = at - now
@@ -746,7 +745,11 @@ func Replay(cfg Config, jobs []Job, execs [][]Exec) (*Trace, error) {
 				f.now = now
 			}
 			n = pol.Place(f, job)
-			if n < 0 || n >= len(ncs) || f.nodes[n].depth(now) >= bound {
+			if n < 0 || n >= len(ncs) {
+				return nil, fmt.Errorf("cluster: policy %s placed job %d on node %d of a %d-node fleet",
+					pol.Name(), i, n, len(ncs))
+			}
+			if f.nodes[n].depth(now) >= bound {
 				n = freed
 			}
 			jt.Node = n
@@ -759,20 +762,17 @@ func Replay(cfg Config, jobs []Job, execs [][]Exec) (*Trace, error) {
 			if !distinctAt(job, ci) {
 				continue
 			}
-			if ns.store.touch(c.Key) {
+			if f.ix.touch(n, c.Key) {
 				jt.WarmHits++
 			} else {
 				jt.ColdLoads++
 				jt.FetchCycles += (uint64(c.Bytes) + bw - 1) / bw
 			}
 		}
-		jt.Start = now
-		if ns.freeAt > jt.Start {
-			jt.Start = ns.freeAt
-		}
+		jt.Start = max(now, f.ix.freeAt[n])
 		jt.Completion = jt.Start + jt.FetchCycles + jt.Cycles
-		ns.freeAt = jt.Completion
 		ns.completions = append(ns.completions, jt.Completion)
+		f.ix.placed(n, jt.Completion, jt.ColdLoads > 0)
 		f.placed++
 
 		tr.Jobs[i] = jt

@@ -36,19 +36,23 @@ func altJobs(n int) []Job {
 
 func TestStoreLRU(t *testing.T) {
 	st := store{slots: 2}
-	if st.touch(key(1)) {
+	if hit, _ := st.touch(1); hit {
 		t.Fatal("empty store hit")
 	}
-	if !st.touch(key(1)) {
+	if hit, _ := st.touch(1); !hit {
 		t.Fatal("resident key missed")
 	}
-	st.touch(key(2))
-	st.touch(key(1)) // refresh 1: LRU order now [2, 1]
-	st.touch(key(3)) // evicts 2
-	if st.holds(key(2)) {
+	if _, ev := st.touch(2); ev != -1 {
+		t.Fatalf("store with a free slot evicted %d", ev)
+	}
+	st.touch(1)                        // refresh 1: LRU order now [2, 1]
+	if _, ev := st.touch(3); ev != 2 { // evicts 2
+		t.Fatalf("evicted %d, want LRU victim 2", ev)
+	}
+	if st.holds(2) {
 		t.Error("LRU victim 2 still resident")
 	}
-	if !st.holds(key(1)) || !st.holds(key(3)) {
+	if !st.holds(1) || !st.holds(3) {
 		t.Errorf("store lost a resident key: %v", st.keys)
 	}
 	if len(st.keys) != 2 {

@@ -46,13 +46,8 @@ type leastLoaded struct{}
 func (leastLoaded) Name() string { return "least-loaded" }
 
 func (leastLoaded) Place(f *Fleet, _ *Job) int {
-	best := 0
-	for n := 1; n < f.NumNodes(); n++ {
-		if f.Backlog(n) < f.Backlog(best) {
-			best = n
-		}
-	}
-	return best
+	ix := f.index()
+	return ix.all.best(ix.allRoot, f.now)
 }
 
 // Affinity prefers the node whose bitstream store already holds the most
@@ -67,16 +62,24 @@ type affinity struct{}
 
 func (affinity) Name() string { return "config-affinity" }
 
+// Place asks the index once per store-content group: every member of a
+// group scores the same hits, so the group's candidate is its
+// least-backlog member.
 func (affinity) Place(f *Fleet, job *Job) int {
+	ix := f.index()
 	best, bestHits := -1, 0
-	for n := 0; n < f.NumNodes(); n++ {
-		hits := f.AffinityHits(n, job)
-		switch {
-		case hits == 0:
-			continue
-		case best < 0, hits > bestHits,
-			hits == bestHits && f.Backlog(n) < f.Backlog(best):
-			best, bestHits = n, hits
+	if ix.markJob(job) > 0 {
+		for _, g := range ix.live {
+			root := ix.groups[g].root
+			hits := ix.hits(int(root))
+			if hits == 0 || hits < bestHits {
+				continue
+			}
+			n := ix.byGroup.best(root, f.now)
+			if hits > bestHits || f.Backlog(n) < f.Backlog(best) ||
+				f.Backlog(n) == f.Backlog(best) && n < best {
+				best, bestHits = n, hits
+			}
 		}
 	}
 	if best < 0 {
@@ -115,15 +118,38 @@ func (weightedAffinity) Name() string { return "weighted-affinity" }
 // Weight exposes the tunable for scenario snapshots (Cluster.Scenario).
 func (w weightedAffinity) Weight() uint64 { return w.weight }
 
+// Place scores one candidate per store-content group that holds any of
+// the job's keys, plus the fleet-wide least-backlog node, which stands in
+// for every node the job has no hits on. Within a set of equal hits the
+// best score is the least clamped backlog, lowest index first.
 func (w weightedAffinity) Place(f *Fleet, job *Job) int {
-	best := 0
-	bestScore := w.score(f, job, 0)
-	for n := 1; n < f.NumNodes(); n++ {
-		if s := w.score(f, job, n); s > bestScore {
+	ix := f.index()
+	ix.markJob(job)
+	best := w.top(f, &ix.all, ix.allRoot)
+	bestScore := w.score(ix.hits(best), f.Backlog(best))
+	for _, g := range ix.live {
+		root := ix.groups[g].root
+		hits := ix.hits(int(root))
+		if hits == 0 {
+			continue
+		}
+		n := w.top(f, &ix.byGroup, root)
+		if s := w.score(hits, f.Backlog(n)); s > bestScore || s == bestScore && n < best {
 			best, bestScore = n, s
 		}
 	}
 	return best
+}
+
+// top returns the node of tree t with the least backlog as score clamps
+// it: once even the least backlog clamps, every member ties and the
+// lowest index wins.
+func (weightedAffinity) top(f *Fleet, fo *forest, t int32) int {
+	n := fo.best(t, f.now)
+	if f.Backlog(n) >= uint64(maxInt64) {
+		n = fo.first(t)
+	}
+	return n
 }
 
 // score is weight·hits − backlog as a saturating signed value: the
@@ -131,14 +157,12 @@ func (w weightedAffinity) Place(f *Fleet, job *Job) int {
 // pathological spec-supplied weight saturates instead of wrapping (a
 // wrap would rank a better-locality node below a worse one), and
 // backlogs are clamped symmetrically.
-func (w weightedAffinity) score(f *Fleet, job *Job, n int) int64 {
-	const maxInt64 = int64(^uint64(0) >> 1)
-	hi, gain := bits.Mul64(uint64(f.AffinityHits(n, job)), w.weight)
+func (w weightedAffinity) score(hits int, backlog uint64) int64 {
+	hi, gain := bits.Mul64(uint64(hits), w.weight)
 	score := maxInt64
 	if hi == 0 && gain < uint64(maxInt64) {
 		score = int64(gain)
 	}
-	backlog := f.Backlog(n)
 	if backlog > uint64(maxInt64) {
 		backlog = uint64(maxInt64)
 	}

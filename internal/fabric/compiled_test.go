@@ -104,10 +104,10 @@ func TestCompiledStateMigration(t *testing.T) {
 		i1.Step(a, b, init)
 		init = false
 	}
-	state := i1.SaveState()
+	state := i1.SaveFrame()
 
 	i2 := prog.NewInstance()
-	if err := i2.LoadState(state); err != nil {
+	if err := i2.LoadFrame(state); err != nil {
 		t.Fatal(err)
 	}
 	var out uint32
@@ -143,7 +143,7 @@ func TestCompiledStateMigratesAcrossEngines(t *testing.T) {
 		init = false
 	}
 	inst := prog.NewInstance()
-	if err := inst.LoadState(pfu.SaveState()); err != nil {
+	if err := inst.LoadFrame(pfu.SaveFrame()); err != nil {
 		t.Fatal(err)
 	}
 	var out uint32
@@ -166,7 +166,7 @@ func TestCompiledStateMigratesAcrossEngines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := pfu2.LoadState(inst2.SaveState()); err != nil {
+	if err := pfu2.LoadFrame(inst2.SaveFrame()); err != nil {
 		t.Fatal(err)
 	}
 	done = false
@@ -180,7 +180,7 @@ func TestCompiledStateMigratesAcrossEngines(t *testing.T) {
 
 func TestCompiledLoadStateLengthCheck(t *testing.T) {
 	inst := compileT(t, placeT(t, Xor32())).NewInstance()
-	if err := inst.LoadState(make([]bool, 3)); err == nil {
+	if err := inst.LoadFrame(make([]uint8, 3)); err == nil {
 		t.Fatal("short state must be rejected")
 	}
 }

@@ -216,8 +216,9 @@ func TestLaneFrameValidation(t *testing.T) {
 	}
 }
 
-// TestFrameShimsMatch locks the deprecated []bool state API to the
-// canonical byte-frame API on both scalar engines.
+// TestFrameShimsMatch locks the canonical byte frame across both scalar
+// engines: stepped alike, the compiled instance and the interpretive PFU
+// save the same 0/1 frame, and each restores what the other saved.
 func TestFrameShimsMatch(t *testing.T) {
 	n := SeqMul16()
 	cfg := placeT(t, n)
@@ -231,39 +232,39 @@ func TestFrameShimsMatch(t *testing.T) {
 		inst.Step(0x1234, 0x5678, s == 0)
 		pfu.Step(0x1234, 0x5678, s == 0)
 	}
-	for _, eng := range []struct {
-		name  string
-		frame []uint8
-		state []bool
-	}{
-		{"instance", inst.SaveFrame(), inst.SaveState()},
-		{"pfu", pfu.SaveFrame(), pfu.SaveState()},
-	} {
-		if len(eng.frame) != len(eng.state) {
-			t.Fatalf("%s: frame %d bytes vs state %d bits", eng.name, len(eng.frame), len(eng.state))
+	instFrame, pfuFrame := inst.SaveFrame(), pfu.SaveFrame()
+	if len(instFrame) != len(pfuFrame) {
+		t.Fatalf("instance frame %d bytes vs PFU frame %d bytes", len(instFrame), len(pfuFrame))
+	}
+	for i := range instFrame {
+		if instFrame[i] > 1 || pfuFrame[i] > 1 {
+			t.Fatalf("non-canonical frame byte at CLB %d: instance %d, PFU %d", i, instFrame[i], pfuFrame[i])
 		}
-		for i := range eng.frame {
-			if (eng.frame[i] != 0) != eng.state[i] {
-				t.Fatalf("%s: frame/state disagree at CLB %d", eng.name, i)
-			}
+		if instFrame[i] != pfuFrame[i] {
+			t.Fatalf("instance/PFU frames disagree at CLB %d", i)
 		}
 	}
-	// The shims must load what they saved.
+	// Each engine must load what the other saved.
 	fresh := prog.NewInstance()
-	if err := fresh.LoadState(inst.SaveState()); err != nil {
+	if err := fresh.LoadFrame(pfuFrame); err != nil {
 		t.Fatal(err)
 	}
 	freshPFU, err := NewPFU(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := freshPFU.LoadState(pfu.SaveState()); err != nil {
+	if err := freshPFU.LoadFrame(instFrame); err != nil {
 		t.Fatal(err)
 	}
 	a1, _ := fresh.Step(0x1234, 0x5678, false)
 	a2, _ := inst.Step(0x1234, 0x5678, false)
 	if a1 != a2 {
-		t.Fatalf("shim-restored instance diverged: %#x vs %#x", a1, a2)
+		t.Fatalf("frame-restored instance diverged: %#x vs %#x", a1, a2)
+	}
+	p1, _ := freshPFU.Step(0x1234, 0x5678, false)
+	p2, _ := pfu.Step(0x1234, 0x5678, false)
+	if p1 != p2 {
+		t.Fatalf("frame-restored PFU diverged: %#x vs %#x", p1, p2)
 	}
 }
 

@@ -44,6 +44,11 @@ type Config struct {
 // ErrShutdown reports an operation against a draining server.
 var ErrShutdown = errors.New("server: shutting down")
 
+// ErrTraceOut rejects a submitted spec that sets trace_out: the path
+// names a file on the daemon's host, and a remote client must not choose
+// which file the daemon creates or truncates.
+var ErrTraceOut = errors.New("server: trace_out names a daemon-side file; submitted specs must not set it")
+
 // Server is one proteand instance.
 type Server struct {
 	cfg Config
@@ -171,6 +176,9 @@ func (s *Server) Shutdown() {
 
 // startJob registers and launches one scenario job.
 func (s *Server) startJob(sc protean.Scenario) (uint64, error) {
+	if sc.TraceOut != "" {
+		return 0, ErrTraceOut
+	}
 	s.mu.Lock()
 	if s.draining {
 		s.mu.Unlock()

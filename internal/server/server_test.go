@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
@@ -207,6 +208,59 @@ func TestDaemonErrors(t *testing.T) {
 	}
 	if !sawSubmits {
 		t.Errorf("metrics snapshot missing proteand_submits_total: %+v", snap.Metrics)
+	}
+}
+
+// TestDaemonRejectsTraceOut: a spec submitted over the wire must not
+// name a file for the daemon to create. The submit gets an Error reply,
+// no job starts, and nothing appears at the named path.
+func TestDaemonRejectsTraceOut(t *testing.T) {
+	dir := t.TempDir()
+	srv := New(Config{})
+	l, err := net.Listen("unix", filepath.Join(dir, "proteand.sock"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- srv.Serve(l) }()
+	t.Cleanup(func() {
+		srv.Shutdown()
+		if err := <-done; err != nil {
+			t.Errorf("Serve: %v", err)
+		}
+	})
+	c, err := Dial("unix", l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+
+	target := filepath.Join(dir, "victim.json")
+	sc := protean.Scenario{
+		Seed:     1,
+		Nodes:    []protean.NodeSpec{{Session: protean.SessionSpec{Scale: 800}}},
+		Jobs:     []protean.JobSpec{{Workload: "echo/hw-nosoft"}},
+		TraceOut: target,
+	}
+	spec, err := json.Marshal(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	job, err := c.Submit(spec)
+	if err == nil || !strings.Contains(err.Error(), ErrTraceOut.Error()) {
+		t.Fatalf("submit with trace_out: job %d, err %v; want %q", job, err, ErrTraceOut)
+	}
+	snap, err := c.Metrics()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range snap.Metrics {
+		if m.Name == "proteand_submits_total" && m.Value != 0 {
+			t.Errorf("rejected spec started a job: proteand_submits_total = %d", m.Value)
+		}
+	}
+	if _, err := os.Stat(target); !os.IsNotExist(err) {
+		t.Fatalf("daemon touched the trace_out path: stat err %v", err)
 	}
 }
 
