@@ -72,20 +72,18 @@ func BenchmarkClusterAffinityVsRoundRobin(b *testing.B) {
 	}
 }
 
-// BenchmarkClusterLaneBatching measures fleet job throughput on a
-// same-configuration thrash mix — many identical jobs per workload, the
-// shape lane batching folds — with batching on (auto, the default)
-// versus off, reporting jobs/sec for both and the speedup. Every
-// iteration also asserts the batching contract: the CSV render of the
-// batched FleetResult is byte-identical to the scalar one.
-func BenchmarkClusterLaneBatching(b *testing.B) {
+// BenchmarkClusterDistinctJobs measures fleet job throughput when no
+// two jobs share an identity: the 4-node fleet of the thrash mix, with
+// 24 jobs rotating through the three paper applications at 24 distinct
+// item counts. Every job executes its own session, so jobs/sec tracks
+// per-session execution rather than execution-memo hits.
+func BenchmarkClusterDistinctJobs(b *testing.B) {
 	const jobs = 24
-	run := func(lanes int) *protean.FleetResult {
+	run := func() *protean.FleetResult {
 		c, err := protean.NewCluster(
 			protean.WithNodes(4),
 			protean.WithStoreSlots(2),
 			protean.WithClusterSeed(7),
-			protean.WithLanes(lanes),
 			protean.WithNodeOptions(
 				protean.WithScale(800),
 				protean.WithQuantum(protean.Quantum1ms/800),
@@ -96,7 +94,8 @@ func BenchmarkClusterLaneBatching(b *testing.B) {
 		}
 		rotation := []string{"alpha/hw-nosoft", "twofish/hw-nosoft", "echo/hw-nosoft"}
 		for i := 0; i < jobs; i++ {
-			if err := c.Submit(rotation[i%len(rotation)], 2, 0); err != nil {
+			w := rotation[i%len(rotation)]
+			if err := c.Submit(w, 2, protean.Scale{Factor: 800}.Items(w)+8*i); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -104,34 +103,26 @@ func BenchmarkClusterLaneBatching(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		if err := fr.Err(); err != nil {
+			b.Fatal(err)
+		}
 		return fr
 	}
 	b.ReportAllocs()
-	var batched *protean.FleetResult
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		batched = run(0)
+		run()
 	}
 	b.StopTimer()
-	batchedPerRun := b.Elapsed().Seconds() / float64(b.N)
-	start := time.Now()
-	scalar := run(1)
-	scalarPerRun := time.Since(start).Seconds()
-	if scalar.Table().CSV() != batched.Table().CSV() {
-		b.Fatal("lane-batched fleet CSV differs from scalar")
-	}
-	if batchedPerRun > 0 {
-		b.ReportMetric(jobs/batchedPerRun, "jobs/sec")
-		b.ReportMetric(scalarPerRun/batchedPerRun, "batching-speedup-x")
-	}
-	if scalarPerRun > 0 {
-		b.ReportMetric(jobs/scalarPerRun, "scalar-jobs/sec")
+	if perRun := b.Elapsed().Seconds() / float64(b.N); perRun > 0 {
+		b.ReportMetric(jobs/perRun, "jobs/sec")
 	}
 }
 
 // BenchmarkFleet1kNodes measures fleet job throughput at the 1k-node
 // scale the cluster layer is sized for: 512 thrash-mix jobs placed by
-// the affinity dispatcher across 1000 nodes, lane batching on.
+// the affinity dispatcher across 1000 nodes. The mix has three job
+// identities, so the execution memo runs three sessions.
 func BenchmarkFleet1kNodes(b *testing.B) {
 	const nodes, jobs = 1000, 512
 	run := func() *protean.FleetResult {
@@ -395,10 +386,9 @@ func BenchmarkGatePFU(b *testing.B) {
 }
 
 // BenchmarkCompiledPFU measures the same gate-level cycle on the compiled
-// execution engine, and reports two inline-measured speedups as custom
-// metrics: over the interpretive step on the identical configuration
-// (speedup-vs-gate-x), and of the bit-sliced lane engine at full 64-lane
-// occupancy over 64 scalar compiled settles (lanes-speedup-x).
+// execution engine, and reports its inline-measured speedup over the
+// interpretive step on the identical configuration as a custom metric
+// (speedup-vs-gate-x).
 func BenchmarkCompiledPFU(b *testing.B) {
 	n := fabric.AlphaBlend()
 	fabric.Optimize(n)
@@ -430,56 +420,6 @@ func BenchmarkCompiledPFU(b *testing.B) {
 	gatePerOp := time.Since(start).Seconds() / probe
 	if compiledPerOp > 0 {
 		b.ReportMetric(gatePerOp/compiledPerOp, "speedup-vs-gate-x")
-	}
-	// Lane engine at full occupancy: one Step settles 64 circuits, so the
-	// per-circuit cost is the lane step divided by the lane width.
-	li := prog.NewLaneInstance()
-	var la, lb, lout [fabric.Lanes]uint32
-	for l := 0; l < fabric.Lanes; l++ {
-		la[l] = uint32(l) * 0x9E3779B9
-		lb[l] = ^la[l]
-	}
-	start = time.Now()
-	for i := 0; i < probe; i++ {
-		var initMask uint64
-		if i%8 == 0 {
-			initMask = ^uint64(0)
-		}
-		li.Step(&la, &lb, initMask, &lout)
-	}
-	lanePerOp := time.Since(start).Seconds() / probe
-	if lanePerOp > 0 {
-		b.ReportMetric(compiledPerOp/(lanePerOp/fabric.Lanes), "lanes-speedup-x")
-	}
-}
-
-// BenchmarkLanesPFU measures one full-occupancy bit-sliced lane step (64
-// circuit instances settled per op).
-func BenchmarkLanesPFU(b *testing.B) {
-	n := fabric.AlphaBlend()
-	fabric.Optimize(n)
-	cfg, _, err := fabric.Place(n, fabric.DefaultPFUSpec)
-	if err != nil {
-		b.Fatal(err)
-	}
-	prog, err := fabric.Compile(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	li := prog.NewLaneInstance()
-	var la, lb, lout [fabric.Lanes]uint32
-	for l := 0; l < fabric.Lanes; l++ {
-		la[l] = uint32(l) * 0x9E3779B9
-		lb[l] = ^la[l]
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var initMask uint64
-		if i%8 == 0 {
-			initMask = ^uint64(0)
-		}
-		li.Step(&la, &lb, initMask, &lout)
 	}
 }
 

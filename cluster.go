@@ -69,7 +69,6 @@ type clusterConfig struct {
 	seed      int64
 	workers   int
 	meanGap   uint64
-	lanes     int
 	session   []Option
 	sink      Sink
 }
@@ -144,22 +143,6 @@ func WithOpenLoop(meanGapCycles uint64) ClusterOption {
 			return fmt.Errorf("protean: open-loop mean gap %d exceeds the %d-cycle cap", meanGapCycles, uint64(cluster.MaxMeanGap))
 		}
 		c.meanGap = meanGapCycles
-		return nil
-	}
-}
-
-// WithLanes tunes same-configuration job batching (Scenario.Lanes):
-// identical jobs may execute together as lanes of one bit-sliced session,
-// up to n per batch. 0 (the default) means auto — the full 64-lane
-// width; 1 disables batching; 2..64 caps the batch size. Like
-// WithClusterWorkers, a host-side execution knob: the FleetResult is
-// byte-identical for every setting.
-func WithLanes(n int) ClusterOption {
-	return func(c *clusterConfig) error {
-		if n < 0 || n > cluster.MaxBatch {
-			return fmt.Errorf("protean: lanes must be 0 (auto) to %d, got %d", cluster.MaxBatch, n)
-		}
-		c.lanes = n
 		return nil
 	}
 }
@@ -278,7 +261,6 @@ func (c *Cluster) Scenario() Scenario {
 	sc := Scenario{
 		Seed:    c.cfg.seed,
 		Workers: c.cfg.workers,
-		Lanes:   c.cfg.lanes,
 		Nodes: []NodeSpec{{
 			Count:      c.cfg.nodes,
 			StoreSlots: c.cfg.slots,

@@ -1,10 +1,10 @@
 // Command benchjson regenerates the tracked performance trajectories:
 // BENCH_fabric.json (the simulation substrates — PFU settle engines,
 // configuration loads, bitstream decode, the equivalence prover) and
-// BENCH_cluster.json (the fleet layer — placement, lane batching, job
-// throughput at 1k-node scale, placement replay per policy at the
-// scenario caps, and the observability overhead ratio of a traced
-// versus untraced run). Each file runs its benchmark suite for
+// BENCH_cluster.json (the fleet layer — placement, job throughput with
+// no repeated job identity and at 1k-node scale, placement replay per
+// policy at the scenario caps, and the observability overhead ratio of a
+// traced versus untraced run). Each file runs its benchmark suite for
 // one iteration and records every reported metric (ns/op, allocs, and
 // the custom metrics the benchmarks emit — speedup-vs-gate-x,
 // jobs/sec, obs-overhead-x, ...) as a benchmark-name → metric map.
@@ -54,7 +54,7 @@ var suites = []struct {
 		comment: "substrate performance trajectory; regenerate with `go run ./cmd/benchjson` " +
 			"(CI checks only the schema - benchmark names and metric keys - not the values)",
 		runs: []benchRun{
-			{".", "^(BenchmarkBehaviouralPFU|BenchmarkGatePFU|BenchmarkCompiledPFU|BenchmarkLanesPFU|" +
+			{".", "^(BenchmarkBehaviouralPFU|BenchmarkGatePFU|BenchmarkCompiledPFU|" +
 				"BenchmarkConfigLoad|BenchmarkConfigLoadGate|BenchmarkInstanceStampOut|BenchmarkBitstreamDecode|" +
 				"BenchmarkTLBLookup)$"},
 			{"./internal/fabric", "^BenchmarkEquiv$"},
@@ -65,7 +65,7 @@ var suites = []struct {
 		comment: "fleet performance trajectory; regenerate with `go run ./cmd/benchjson` " +
 			"(CI checks only the schema - benchmark names and metric keys - not the values)",
 		runs: []benchRun{
-			{".", "^(BenchmarkClusterAffinityVsRoundRobin|BenchmarkClusterLaneBatching|" +
+			{".", "^(BenchmarkClusterAffinityVsRoundRobin|BenchmarkClusterDistinctJobs|" +
 				"BenchmarkFleet1kNodes|BenchmarkObsOverhead)$"},
 			{"./internal/cluster", "^BenchmarkReplay$"},
 		},
@@ -92,7 +92,7 @@ type trajectory struct {
 
 // benchLine matches one `go test -bench` result line:
 //
-//	BenchmarkCompiledPFU-8   1   2505 ns/op   45.82 lanes-speedup-x   0 B/op   0 allocs/op
+//	BenchmarkCompiledPFU-8   1   2505 ns/op   1.55 speedup-vs-gate-x   0 B/op   0 allocs/op
 var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+(.*)$`)
 
 func main() {

@@ -58,19 +58,16 @@ type Circuit struct {
 type Job struct {
 	Label    string
 	Circuits []Circuit
-	// Batch groups jobs whose sessions are identical simulations: same
-	// configurations, same workload program, same length, with the
-	// derived seed provably not influencing execution. Jobs sharing a
-	// nonzero Batch id may execute together in one BatchRunner call
-	// (one lane each of a bit-sliced session); 0 means never batch.
-	// Callers own the guarantee — the dispatcher only groups what they
+	// Identity groups jobs whose sessions are the same simulation: same
+	// configurations, same workload program, same length. By setting a
+	// nonzero Identity the caller guarantees that the job's derived seed
+	// cannot reach its simulation, so every job of the group has the same
+	// execution profile on a node class; Execute then runs the group once
+	// per class and copies the profile to every member. 0 means the job
+	// always executes alone. The dispatcher only groups what callers
 	// marked.
-	Batch int
+	Identity int
 }
-
-// MaxBatch caps how many jobs one BatchRunner call may carry: the lane
-// width of the bit-sliced fabric engine (fabric.Lanes).
-const MaxBatch = 64
 
 // Exec is the node-independent execution profile of one job on one node
 // class: the machine cycles its session simulated at that class's
@@ -263,23 +260,11 @@ type Config struct {
 	Arrivals Arrivals
 	// Admission bounds per-node queues; the zero value admits everything.
 	Admission Admission
-	// OnExec, if non-nil, observes each finished job execution. It is
+	// OnExec, if non-nil, observes each job's execution profile, once
+	// per job and class, members of an Identity group included. It is
 	// called from the worker goroutines in completion order and must be
 	// safe for concurrent use.
 	OnExec func(i, class int, e Exec)
-	// Lanes caps how many same-Batch jobs execute together in one
-	// BatchRunner call; <= 1 disables batching, values above MaxBatch
-	// clamp to it.
-	Lanes int
-	// BatchRunner executes a whole batch of same-Batch jobs under one
-	// node class: idxs are the job indices (all sharing one nonzero
-	// Job.Batch), seeds their per-job derived seeds (the same values
-	// Runner would have seen), and the result holds one Exec per index,
-	// in order. Each profile must be byte-identical to what Runner
-	// would have produced for that job alone — batching is an execution
-	// strategy, never a semantic change. When nil, every job runs
-	// through Runner regardless of Lanes.
-	BatchRunner func(idxs []int, class int, seeds []int64) ([]Exec, error)
 }
 
 // nodeConfigs expands the configuration into one NodeConfig per node with
@@ -524,9 +509,11 @@ func Run(cfg Config, jobs []Job, run Runner) (*Trace, error) {
 // compares policies on one set of simulations instead of re-simulating
 // per policy. The derived seed depends only on the job index, never the
 // class, so heterogeneous fleets stay comparable with homogeneous ones.
-// When Lanes and BatchRunner are set, jobs sharing a nonzero Batch id
-// execute together in chunks of at most Lanes (see Config.BatchRunner);
-// the profiles, and hence the replayed trace, are identical either way.
+// Jobs sharing a nonzero Identity execute once per class: the group's
+// first job in submission order runs with its own derived seed and its
+// profile is copied to every member, so the sessions run — classes ×
+// distinct identities, plus classes × unmarked jobs — do not depend on
+// Workers.
 func Execute(cfg Config, jobs []Job, run Runner) ([][]Exec, error) {
 	if run == nil {
 		return nil, fmt.Errorf("cluster: nil runner")
@@ -535,61 +522,27 @@ func Execute(cfg Config, jobs []Job, run Runner) ([][]Exec, error) {
 		return nil, fmt.Errorf("cluster: no jobs submitted")
 	}
 	classes := cfg.classes()
-	chunks := executionChunks(cfg, jobs)
-	type cellOut struct {
-		idxs  []int
-		execs []Exec
-	}
-	cells := make([]func() (cellOut, error), 0, classes*len(chunks))
+	groups := identityGroups(jobs)
+	cells := make([]func() (Exec, error), 0, classes*len(groups))
 	for class := 0; class < classes; class++ {
-		class := class
-		for _, chunk := range chunks {
-			chunk := chunk
-			if len(chunk) == 1 {
-				// Singleton chunks — unbatchable jobs, one-member groups,
-				// chunking remainders — take the scalar runner: exactness
-				// for free, and the scalar engine is faster at occupancy 1.
-				i := chunk[0]
-				seed := rng.Derive(cfg.Seed, streamJob, uint64(i))
-				cells = append(cells, func() (cellOut, error) {
-					var e Exec
-					var err error
-					obs.Task(context.Background(), "fleet-job", fmt.Sprintf("%s/c%d", jobs[i].Label, class), func() {
-						e, err = run(i, class, seed)
-					})
-					if err != nil {
-						return cellOut{}, fmt.Errorf("cluster: job %d (%s) class %d: %w", i, jobs[i].Label, class, err)
-					}
-					if cfg.OnExec != nil {
-						cfg.OnExec(i, class, e)
-					}
-					return cellOut{idxs: chunk, execs: []Exec{e}}, nil
-				})
-				continue
-			}
-			cells = append(cells, func() (cellOut, error) {
-				seeds := make([]int64, len(chunk))
-				for k, i := range chunk {
-					seeds[k] = rng.Derive(cfg.Seed, streamJob, uint64(i))
-				}
-				var es []Exec
+		for _, g := range groups {
+			i := g[0]
+			seed := rng.Derive(cfg.Seed, streamJob, uint64(i))
+			cells = append(cells, func() (Exec, error) {
+				var e Exec
 				var err error
-				obs.Task(context.Background(), "fleet-batch", fmt.Sprintf("%s×%d/c%d", jobs[chunk[0]].Label, len(chunk), class), func() {
-					es, err = cfg.BatchRunner(chunk, class, seeds)
+				obs.Task(context.Background(), "fleet-job", fmt.Sprintf("%s/c%d", jobs[i].Label, class), func() {
+					e, err = run(i, class, seed)
 				})
 				if err != nil {
-					return cellOut{}, fmt.Errorf("cluster: batch of %d jobs (%s, first job %d) class %d: %w",
-						len(chunk), jobs[chunk[0]].Label, chunk[0], class, err)
-				}
-				if len(es) != len(chunk) {
-					return cellOut{}, fmt.Errorf("cluster: batch runner returned %d profiles for %d jobs", len(es), len(chunk))
+					return Exec{}, fmt.Errorf("cluster: job %d (%s) class %d: %w", i, jobs[i].Label, class, err)
 				}
 				if cfg.OnExec != nil {
-					for k, i := range chunk {
-						cfg.OnExec(i, class, es[k])
+					for _, m := range g {
+						cfg.OnExec(m, class, e)
 					}
 				}
-				return cellOut{idxs: chunk, execs: es}, nil
+				return e, nil
 			})
 		}
 	}
@@ -600,56 +553,33 @@ func Execute(cfg Config, jobs []Job, run Runner) ([][]Exec, error) {
 	out := make([][]Exec, classes)
 	for class := range out {
 		out[class] = make([]Exec, len(jobs))
-	}
-	for c, co := range outs {
-		class := c / len(chunks)
-		for k, i := range co.idxs {
-			out[class][i] = co.execs[k]
+		for gi, g := range groups {
+			for _, m := range g {
+				out[class][m] = outs[class*len(groups)+gi]
+			}
 		}
 	}
 	return out, nil
 }
 
-// executionChunks partitions the job indices into execution units: one
-// chunk per unbatchable job, and chunks of at most the lane cap for each
-// nonzero Batch group. Grouping follows submission order throughout —
-// first appearance orders the groups, members stay in index order — so
-// the partition is deterministic and independent of Workers.
-func executionChunks(cfg Config, jobs []Job) [][]int {
-	lanes := cfg.Lanes
-	if lanes > MaxBatch {
-		lanes = MaxBatch
-	}
-	if lanes <= 1 || cfg.BatchRunner == nil {
-		chunks := make([][]int, len(jobs))
-		for i := range jobs {
-			chunks[i] = []int{i}
-		}
-		return chunks
-	}
-	groups := make(map[int][]int)
-	var order []int
-	var chunks [][]int
+// identityGroups partitions the job indices into execution groups: one
+// per unmarked job and one per nonzero Identity, members in index
+// order, groups ordered by their first member.
+func identityGroups(jobs []Job) [][]int {
+	at := make(map[int]int) // Identity -> index into groups
+	var groups [][]int
 	for i := range jobs {
-		b := jobs[i].Batch
-		if b == 0 {
-			chunks = append(chunks, []int{i})
-			continue
+		id := jobs[i].Identity
+		if id != 0 {
+			if g, ok := at[id]; ok {
+				groups[g] = append(groups[g], i)
+				continue
+			}
+			at[id] = len(groups)
 		}
-		if _, ok := groups[b]; !ok {
-			order = append(order, b)
-		}
-		groups[b] = append(groups[b], i)
+		groups = append(groups, []int{i})
 	}
-	for _, b := range order {
-		idxs := groups[b]
-		for len(idxs) > lanes {
-			chunks = append(chunks, idxs[:lanes])
-			idxs = idxs[lanes:]
-		}
-		chunks = append(chunks, idxs)
-	}
-	return chunks
+	return groups
 }
 
 // Replay is phase 2 alone: expand the arrival process and replay

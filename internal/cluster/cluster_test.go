@@ -4,6 +4,7 @@ import (
 	"errors"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 )
 
@@ -564,123 +565,108 @@ func TestWeightedAffinityBalancesKindsAcrossSpareNodes(t *testing.T) {
 		rr.Makespan, aff.Makespan, wa.Makespan, rr.ColdLoads, aff.ColdLoads, wa.ColdLoads)
 }
 
-// batchJobs builds n jobs in two batch groups plus some unbatchable ones.
-func batchJobs(n int) []Job {
+// TestExecuteMemo locks the execution memo: jobs sharing a nonzero
+// Identity run once per class — the group's first job, with its own
+// derived seed, and no cap on the group size — and every member gets
+// that profile, so profiles and replayed traces equal the run with no
+// identities at every worker count. Unmarked jobs still run alone.
+func TestExecuteMemo(t *testing.T) {
+	const n, classes = 200, 2
 	jobs := altJobs(n)
+	// kind 0 and 1 are identity groups of 67 jobs each; kind 2 jobs are
+	// unmarked and seed-sensitive.
+	kind := func(i int) int { return i % 3 }
 	for i := range jobs {
-		switch i % 3 {
-		case 0:
-			jobs[i].Batch = 1
-		case 1:
-			jobs[i].Batch = 2
-		default:
-			jobs[i].Batch = 0 // never batched
+		if kind(i) < 2 {
+			jobs[i].Identity = kind(i) + 1
 		}
 	}
-	return jobs
-}
-
-func TestExecutionChunks(t *testing.T) {
-	jobs := batchJobs(10) // batch ids: 1,2,0,1,2,0,1,2,0,1
-	runner := func([]int, int, []int64) ([]Exec, error) { return nil, nil }
-	chunks := executionChunks(Config{Lanes: 3, BatchRunner: runner}, jobs)
-	want := [][]int{{2}, {5}, {8}, {0, 3, 6}, {9}, {1, 4, 7}}
-	if !reflect.DeepEqual(chunks, want) {
-		t.Fatalf("chunks %v, want %v", chunks, want)
+	alone := make([]Job, n)
+	copy(alone, jobs)
+	for i := range alone {
+		alone[i].Identity = 0
 	}
-	// Lanes above MaxBatch clamp; Lanes <= 1 or a nil runner means all
-	// singletons.
-	if got := executionChunks(Config{Lanes: 1, BatchRunner: runner}, jobs); len(got) != len(jobs) {
-		t.Fatalf("Lanes=1 produced %d chunks for %d jobs", len(got), len(jobs))
+	unmarked := 0
+	for i := range jobs {
+		if jobs[i].Identity == 0 {
+			unmarked++
+		}
 	}
-	if got := executionChunks(Config{Lanes: 64}, jobs); len(got) != len(jobs) {
-		t.Fatalf("nil BatchRunner produced %d chunks for %d jobs", len(got), len(jobs))
-	}
-	big := make([]Job, MaxBatch+10)
-	for i := range big {
-		big[i].Batch = 7
-	}
-	got := executionChunks(Config{Lanes: MaxBatch + 100, BatchRunner: runner}, big)
-	if len(got) != 2 || len(got[0]) != MaxBatch || len(got[1]) != 10 {
-		t.Fatalf("oversized group split into %d chunks", len(got))
-	}
-}
-
-// TestExecuteBatchingMatchesScalar locks the batching contract: with a
-// batch runner that reproduces the scalar runner lane by lane, the
-// execution profiles — and the replayed trace — are identical to the
-// unbatched run, per-job seeds included, at every worker count.
-func TestExecuteBatchingMatchesScalar(t *testing.T) {
-	jobs := batchJobs(40)
+	cfg := Config{Classes: classes, Seed: 42, Policy: Affinity(),
+		NodeConfigs: []NodeConfig{{Class: 0}, {Class: 1}, {Class: 0, ClockScale: 2}}}
+	var calls [classes * n]atomic.Int32
+	var total atomic.Int64
 	run := func(i, class int, seed int64) (Exec, error) {
-		return Exec{Cycles: uint64(i*1000+class*10) + uint64(seed&0x7)}, nil
+		calls[class*n+i].Add(1)
+		total.Add(1)
+		e := Exec{Cycles: uint64(1000*(kind(i)+1) + 10*class)}
+		if kind(i) == 2 {
+			e.Cycles += uint64(i) + uint64(seed&0x7)
+		}
+		return e, nil
 	}
-	cfg := Config{Nodes: 3, Classes: 2, Seed: 42, Workers: 1,
-		NodeConfigs: []NodeConfig{{Class: 0}, {Class: 1}, {Class: 0}}}
-	want, err := Execute(cfg, jobs, run)
+	cfg.Workers = 1
+	want, err := Execute(cfg, alone, run)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantTr, err := Replay(cfg, alone, want)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 4, 8} {
-		bcfg := cfg
-		bcfg.Workers = workers
-		bcfg.Lanes = 4
-		var batchCalls int
-		bcfg.BatchRunner = func(idxs []int, class int, seeds []int64) ([]Exec, error) {
-			batchCalls++
-			if len(idxs) < 2 {
-				t.Errorf("batch runner called with %d jobs", len(idxs))
-			}
-			es := make([]Exec, len(idxs))
-			for k, i := range idxs {
-				var err error
-				if es[k], err = run(i, class, seeds[k]); err != nil {
-					return nil, err
+		for i := range calls {
+			calls[i].Store(0)
+		}
+		total.Store(0)
+		var execs atomic.Int64
+		cfg.Workers = workers
+		cfg.OnExec = func(int, int, Exec) { execs.Add(1) }
+		got, err := Execute(cfg, jobs, run)
+		cfg.OnExec = nil
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := int64(classes*2 + classes*unmarked); total.Load() != want {
+			t.Errorf("workers=%d: %d runner calls, want %d", workers, total.Load(), want)
+		}
+		for class := 0; class < classes; class++ {
+			for i := range jobs {
+				// Only each group's first job (indices 0 and 1) and the
+				// unmarked jobs may run, once each.
+				wantCalls := int32(0)
+				if i < 2 || jobs[i].Identity == 0 {
+					wantCalls = 1
+				}
+				if c := calls[class*n+i].Load(); c != wantCalls {
+					t.Fatalf("workers=%d: job %d class %d ran %d times, want %d", workers, i, class, c, wantCalls)
 				}
 			}
-			return es, nil
 		}
-		got, err := Execute(bcfg, jobs, run)
-		if err != nil {
-			t.Fatal(err)
+		if execs.Load() != classes*n {
+			t.Errorf("workers=%d: OnExec fired %d times, want %d", workers, execs.Load(), classes*n)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("workers=%d: batched profiles differ from scalar", workers)
+			t.Fatalf("workers=%d: memoized profiles differ from per-job execution", workers)
 		}
-		if workers == 1 && batchCalls == 0 {
-			t.Fatal("batch runner never called")
-		}
-		wtr, err := Replay(cfg, jobs, want)
+		tr, err := Replay(cfg, jobs, got)
 		if err != nil {
 			t.Fatal(err)
 		}
-		gtr, err := Replay(bcfg, jobs, got)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(wtr, gtr) {
-			t.Fatalf("workers=%d: batched trace differs from scalar", workers)
+		if !reflect.DeepEqual(tr, wantTr) {
+			t.Fatalf("workers=%d: memoized trace differs from per-job execution", workers)
 		}
 	}
-}
 
-// TestExecuteBatchErrors covers the batch cell's failure paths.
-func TestExecuteBatchErrors(t *testing.T) {
-	jobs := batchJobs(6)
-	run := fixedRunner(100)
-	cfg := Config{Lanes: 4, Seed: 1}
-	cfg.BatchRunner = func(idxs []int, _ int, _ []int64) ([]Exec, error) {
-		return nil, errors.New("boom")
-	}
-	_, err := Execute(cfg, jobs, run)
-	if err == nil || !strings.Contains(err.Error(), "batch of 2 jobs") {
-		t.Fatalf("batch error not wrapped: %v", err)
-	}
-	cfg.BatchRunner = func(idxs []int, _ int, _ []int64) ([]Exec, error) {
-		return make([]Exec, len(idxs)+1), nil
-	}
-	_, err = Execute(cfg, jobs, run)
-	if err == nil || !strings.Contains(err.Error(), "profiles") {
-		t.Fatalf("profile-count mismatch not detected: %v", err)
+	// A representative's failure names the representative.
+	boom := errors.New("boom")
+	_, err = Execute(Config{Seed: 1}, jobs, func(i, _ int, _ int64) (Exec, error) {
+		if i == 1 {
+			return Exec{}, boom
+		}
+		return Exec{Cycles: 1}, nil
+	})
+	if !errors.Is(err, boom) || !strings.Contains(err.Error(), "job 1 (B)") {
+		t.Fatalf("runner error not wrapped with the representative: %v", err)
 	}
 }

@@ -51,8 +51,8 @@ func (tr *Trace) dispatcherTrack() int { return len(tr.Nodes) }
 // a fetch span (cold configuration traffic) and an exec span per placed
 // job, plus a dispatcher track carrying defer-wait spans and shed
 // instants. jobs, when non-nil, must be the submission slice the trace
-// was replayed from; it annotates exec spans with their lane-batch
-// group so batched sessions are visible in Perfetto. Jobs are walked in
+// was replayed from; it annotates exec spans with their Identity, so
+// jobs that share one execution are visible in Perfetto. Jobs are walked in
 // submission order — replay-side emission only, so the rendered trace
 // is byte-identical at any Execute worker count.
 func (tr *Trace) EmitChrome(t *obs.Tracer, jobs []Job) {
@@ -81,8 +81,8 @@ func (tr *Trace) EmitChrome(t *obs.Tracer, jobs []Job) {
 			{Key: "cycles", Val: j.Cycles},
 			{Key: "warm_hits", Val: j.WarmHits},
 		}
-		if jobs != nil && j.ID < len(jobs) && jobs[j.ID].Batch != 0 {
-			args = append(args, obs.Arg{Key: "batch", Val: jobs[j.ID].Batch})
+		if jobs != nil && j.ID < len(jobs) && jobs[j.ID].Identity != 0 {
+			args = append(args, obs.Arg{Key: "identity", Val: jobs[j.ID].Identity})
 		}
 		t.Span(j.Node, "exec", j.Label, execStart, j.Completion, args...)
 	}

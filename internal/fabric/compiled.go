@@ -1,9 +1,6 @@
 package fabric
 
-import (
-	"encoding/binary"
-	"sync"
-)
+import "encoding/binary"
 
 // Compiled is a circuit program: a validated, levelized ArrayConfig
 // lowered once into flat structure-of-arrays form that a tight,
@@ -60,12 +57,6 @@ type Compiled struct {
 	outTap [33]int32 // resolved output wire per out bit (32 = done)
 
 	ffInit []uint8 // power-on register values, one byte per CLB
-
-	// lane is the bit-sliced 64-lane lowering (see lanes.go), built
-	// lazily on first NewLaneInstance. Compiled programs are shared
-	// process-wide, so the lowering happens once per configuration.
-	laneOnce sync.Once
-	lane     *laneProg
 }
 
 // lutOp is one lowered LUT evaluation: four precomputed input wire

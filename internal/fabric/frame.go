@@ -4,15 +4,12 @@ import "fmt"
 
 // State frames are the §4.1 swap currency: the per-CLB flip-flop
 // contents, and nothing else, that must cross the configuration port when
-// a live circuit is evicted. Every engine in this package — the
-// interpretive PFU, the compiled scalar Instance and the bit-sliced
-// LaneInstance — exchanges frames in one canonical form: one byte per
-// CLB, 0 or 1, in CLB order (exactly the layout of the compiled
-// program's power-on image, Compiled.ffInit). The scalar engine stores
-// its registers in this very layout, so its SaveFrame is a copy and its
-// LoadFrame needs no conversion; the lane engine bit-packs across lanes
-// and converts at the frame boundary, which is the swap path, not the
-// settle path.
+// a live circuit is evicted. Both engines in this package — the
+// interpretive PFU and the compiled Instance — exchange frames in one
+// canonical form: one byte per CLB, 0 or 1, in CLB order (exactly the
+// layout of the compiled program's power-on image, Compiled.ffInit). The
+// compiled engine stores its registers in this very layout, so its
+// SaveFrame is a copy and its LoadFrame needs no conversion.
 //
 // PackFrame/UnpackFrame translate between the canonical frame and the
 // modeled frame-group bytes (8 CLBs per byte) that cross the simulated

@@ -220,18 +220,14 @@ func TestRandomNetlistsPlaceAndSimulate(t *testing.T) {
 	}
 }
 
-// TestRandomNetlistsLanesVsCompiledVsPFUVsSim is the four-way
-// differential property test of the execution substrates: for random
-// netlists, the bit-sliced lane engine, the compiled scalar engine, the
-// interpretive PFU and the functional netlist simulator must agree on
-// every output of every cycle. Lane 0 carries the trial operands the
-// three scalar engines see; a second randomly chosen lane carries its
-// own operands against a scalar shadow instance. Mid-execution the
-// state frame group is saved and restored into fresh engines — compiled
-// and PFU swap frames as before, and the shadow lane's frame migrates
-// into a fresh scalar Instance while the scalar frame reloads into the
-// lane (the §4.1 split-configuration swap, per lane).
-func TestRandomNetlistsLanesVsCompiledVsPFUVsSim(t *testing.T) {
+// TestRandomNetlistsCompiledVsPFUVsSim is the three-way differential
+// property test of the execution substrates: for random netlists, the
+// compiled engine, the interpretive PFU and the functional netlist
+// simulator must agree on every output of every cycle. Mid-execution
+// the state frame group is saved from both engines, compared byte for
+// byte and restored crosswise into fresh instances (the §4.1
+// split-configuration swap).
+func TestRandomNetlistsCompiledVsPFUVsSim(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for trial := 0; trial < 25; trial++ {
 		n, _ := randomCircuit(rng, 5+rng.Intn(80), rng.Intn(10))
@@ -261,21 +257,13 @@ func TestRandomNetlistsLanesVsCompiledVsPFUVsSim(t *testing.T) {
 			t.Fatalf("trial %d compile: %v", trial, err)
 		}
 		inst := prog.NewInstance()
-		lanes := prog.NewLaneInstance()
 		for rep := 0; rep < 4; rep++ {
-			var la, lb, lout [Lanes]uint32
-			for l := 0; l < Lanes; l++ {
-				la[l], lb[l] = rng.Uint32(), rng.Uint32()
-			}
-			a, b := la[0], lb[0]
-			sl := 1 + rng.Intn(Lanes-1) // the shadowed lane
-			shadow := prog.NewInstance()
+			a, b := rng.Uint32(), rng.Uint32()
 			steps := 2 + rng.Intn(6)
 			swapAt := 1 + rng.Intn(steps) // swap mid-execution after this step
 			sim.Reset()
 			pfu.Reset()
 			inst.Reset()
-			lanes.Reset()
 			sim.SetInput("a", uint64(a))
 			sim.SetInput("b", uint64(b))
 			for s := 0; s < steps; s++ {
@@ -290,38 +278,23 @@ func TestRandomNetlistsLanesVsCompiledVsPFUVsSim(t *testing.T) {
 				sim.Step()
 				pfuOut, pfuDone := pfu.Step(a, b, initBit)
 				cOut, cDone := inst.Step(a, b, initBit)
-				var initMask uint64
-				if initBit {
-					initMask = ^uint64(0)
+				if cOut != pfuOut || cOut != uint32(simOut) {
+					t.Fatalf("trial %d rep %d step %d: compiled %#x, PFU %#x, sim %#x",
+						trial, rep, s, cOut, pfuOut, simOut)
 				}
-				lDone := lanes.Step(&la, &lb, initMask, &lout)
-				shOut, shDone := shadow.Step(la[sl], lb[sl], initBit)
-				if cOut != pfuOut || cOut != uint32(simOut) || cOut != lout[0] {
-					t.Fatalf("trial %d rep %d step %d: compiled %#x, PFU %#x, sim %#x, lane0 %#x",
-						trial, rep, s, cOut, pfuOut, simOut, lout[0])
-				}
-				if cDone != pfuDone || cDone != (lDone&1 != 0) {
-					t.Fatalf("trial %d rep %d step %d: done compiled=%v PFU=%v lane0=%v",
-						trial, rep, s, cDone, pfuDone, lDone&1 != 0)
-				}
-				if lout[sl] != shOut || lDone>>uint(sl)&1 != 0 != shDone {
-					t.Fatalf("trial %d rep %d step %d: lane %d (%#x,%v) vs shadow (%#x,%v)",
-						trial, rep, s, sl, lout[sl], lDone>>uint(sl)&1 != 0, shOut, shDone)
+				if cDone != pfuDone {
+					t.Fatalf("trial %d rep %d step %d: done compiled=%v PFU=%v",
+						trial, rep, s, cDone, pfuDone)
 				}
 				if s+1 == swapAt {
-					// Save state frames from every engine: they must agree
+					// Save state frames from both engines: they must agree
 					// byte for byte, and each must restore into a fresh
-					// instance of another engine.
+					// instance of the other engine.
 					cFrame := inst.SaveFrame()
 					pFrame := pfu.SaveFrame()
-					laneFrame := lanes.SaveLaneFrame(sl)
-					shFrame := shadow.SaveFrame()
 					for i := range cFrame {
 						if cFrame[i] != pFrame[i] {
 							t.Fatalf("trial %d rep %d: state frame byte %d differs", trial, rep, i)
-						}
-						if laneFrame[i] != shFrame[i] {
-							t.Fatalf("trial %d rep %d: lane %d frame byte %d differs", trial, rep, sl, i)
 						}
 					}
 					fresh := prog.NewInstance()
@@ -337,17 +310,6 @@ func TestRandomNetlistsLanesVsCompiledVsPFUVsSim(t *testing.T) {
 						t.Fatal(err)
 					}
 					pfu = freshPFU
-					// Lane <-> scalar migration: the lane's frame seeds a
-					// fresh scalar shadow, the scalar frame reloads into
-					// the lane, and both continue in lockstep.
-					freshShadow := prog.NewInstance()
-					if err := freshShadow.LoadFrame(laneFrame); err != nil {
-						t.Fatal(err)
-					}
-					shadow = freshShadow
-					if err := lanes.LoadLaneFrame(sl, shFrame); err != nil {
-						t.Fatal(err)
-					}
 				}
 			}
 		}

@@ -49,6 +49,12 @@ var ErrShutdown = errors.New("server: shutting down")
 // which file the daemon creates or truncates.
 var ErrTraceOut = errors.New("server: trace_out names a daemon-side file; submitted specs must not set it")
 
+// ErrWorkers rejects a submitted spec that sets workers: the field sizes
+// a host-side goroutine pool, each worker building a full machine, and a
+// remote client must not choose how much of the daemon's host one job
+// takes.
+var ErrWorkers = errors.New("server: workers sizes the daemon's host pool; submitted specs must not set it")
+
 // Server is one proteand instance.
 type Server struct {
 	cfg Config
@@ -176,8 +182,13 @@ func (s *Server) Shutdown() {
 
 // startJob registers and launches one scenario job.
 func (s *Server) startJob(sc protean.Scenario) (uint64, error) {
+	// Host-side run settings are the daemon's to choose, never the
+	// client's; refuse them before any job state exists.
 	if sc.TraceOut != "" {
 		return 0, ErrTraceOut
+	}
+	if sc.Workers != 0 {
+		return 0, ErrWorkers
 	}
 	s.mu.Lock()
 	if s.draining {

@@ -211,9 +211,11 @@ func TestDaemonErrors(t *testing.T) {
 	}
 }
 
-// TestDaemonRejectsTraceOut: a spec submitted over the wire must not
-// name a file for the daemon to create. The submit gets an Error reply,
-// no job starts, and nothing appears at the named path.
+// TestDaemonRejectsTraceOut: a spec submitted over the wire must not set
+// host-side run settings. trace_out names a file for the daemon to
+// create, workers sizes the daemon's goroutine pool, and the retired
+// lanes knob fails validation. Each submit gets an Error reply, no job
+// starts, and nothing appears at the trace_out path.
 func TestDaemonRejectsTraceOut(t *testing.T) {
 	dir := t.TempDir()
 	srv := New(Config{})
@@ -235,20 +237,33 @@ func TestDaemonRejectsTraceOut(t *testing.T) {
 	}
 	t.Cleanup(func() { c.Close() })
 
-	target := filepath.Join(dir, "victim.json")
-	sc := protean.Scenario{
-		Seed:     1,
-		Nodes:    []protean.NodeSpec{{Session: protean.SessionSpec{Scale: 800}}},
-		Jobs:     []protean.JobSpec{{Workload: "echo/hw-nosoft"}},
-		TraceOut: target,
-	}
-	spec, err := json.Marshal(sc)
+	base, err := json.Marshal(protean.Scenario{
+		Seed:  1,
+		Nodes: []protean.NodeSpec{{Session: protean.SessionSpec{Scale: 800}}},
+		Jobs:  []protean.JobSpec{{Workload: "echo/hw-nosoft"}},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	job, err := c.Submit(spec)
-	if err == nil || !strings.Contains(err.Error(), ErrTraceOut.Error()) {
-		t.Fatalf("submit with trace_out: job %d, err %v; want %q", job, err, ErrTraceOut)
+	target := filepath.Join(dir, "victim.json")
+	quoted, err := json.Marshal(target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name, field, want string
+	}{
+		{"trace_out", `"trace_out":` + string(quoted), ErrTraceOut.Error()},
+		{"workers", `"workers":2`, ErrWorkers.Error()},
+		{"lanes", `"lanes":1`, "lanes"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			spec := append([]byte("{"+tc.field+","), base[1:]...)
+			job, err := c.Submit(spec)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("submit with %s: job %d, err %v; want %q", tc.field, job, err, tc.want)
+			}
+		})
 	}
 	snap, err := c.Metrics()
 	if err != nil {

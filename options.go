@@ -33,7 +33,6 @@ type config struct {
 	budget       uint64
 	lintWarnings bool
 	timingStats  bool
-	lanes        bool
 	sink         Sink
 	disasmW      io.Writer
 	disasmN      int
@@ -253,19 +252,6 @@ func WithLintWarnings() Option {
 func WithTimingStats() Option {
 	return func(c *config) error {
 		c.timingStats = true
-		return nil
-	}
-}
-
-// withLaneEngine stamps bit-sliced 64-lane fabric instances in place of
-// scalar ones wherever the RFU stamps instances itself. Unexported, and
-// deliberately absent from SessionSpec: it is a host-side execution
-// strategy with bit-identical results, not a modeled machine knob — the
-// fleet batch runner applies it when it folds a group of identical jobs
-// into one lane-engine session.
-func withLaneEngine() Option {
-	return func(c *config) error {
-		c.lanes = true
 		return nil
 	}
 }

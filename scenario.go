@@ -32,14 +32,11 @@ type Scenario struct {
 	// Workers sizes the host-side job-execution pool; 0 means GOMAXPROCS,
 	// 1 runs jobs serially. Results are byte-identical for every setting.
 	Workers int `json:"workers,omitempty"`
-	// Lanes tunes same-configuration job batching: identical jobs may
-	// execute together as lanes of one bit-sliced session (up to Lanes
-	// per batch) instead of one scalar session each, whenever batching
-	// provably cannot change results (it is skipped for seed-sensitive
-	// sessions, e.g. the random replacement policy). 0 means auto (the
-	// full 64-lane width), 1 disables batching, 2..64 caps the batch
-	// size. Like Workers, a host-side execution knob: the FleetResult is
-	// byte-identical for every setting.
+	// Lanes is a retired host-side knob: any nonzero value is rejected.
+	//
+	// Deprecated: identical jobs now always execute once per node class
+	// when that cannot change results (see DESIGN.md §12), so there is
+	// nothing left to tune. Leave Lanes unset.
 	Lanes int `json:"lanes,omitempty"`
 	// Nodes describes the fleet, one spec per node class instance.
 	Nodes []NodeSpec `json:"nodes"`
@@ -387,6 +384,10 @@ type fleetJob struct {
 	instances int
 	items     int
 	job       cluster.Job
+	// rep is the index of the job whose execution stands for this one:
+	// the first job of its identity group (see cluster.Job.Identity), or
+	// the job itself.
+	rep int
 }
 
 // resolvedScenario is a Scenario after every default, name and template
@@ -400,11 +401,6 @@ type resolvedScenario struct {
 	policies  []PlacementPolicy
 	sink      Sink
 	extras    []Option
-	// lanes is the resolved batching cap (Scenario.Lanes with auto
-	// expanded); classRandom marks classes whose sessions depend on the
-	// derived seed (random replacement policy), which vetoes batching.
-	lanes       int
-	classRandom []bool
 	// traceW / tracePath route the Chrome fleet timeline (an explicit
 	// writer beats the spec's file path); metrics turns on FleetResult
 	// metrics snapshots.
@@ -494,19 +490,19 @@ func (sc Scenario) resolve(scfg startConfig) (*resolvedScenario, error) {
 	if len(sc.Nodes) == 0 {
 		return nil, fmt.Errorf("protean: scenario needs at least one node spec")
 	}
-	if sc.Lanes < 0 || sc.Lanes > cluster.MaxBatch {
-		return nil, fmt.Errorf("protean: lanes must be 0 (auto) to %d, got %d", cluster.MaxBatch, sc.Lanes)
+	if sc.Lanes != 0 {
+		return nil, fmt.Errorf("protean: lanes is retired and must be unset, got %d", sc.Lanes)
 	}
 	rs := &resolvedScenario{
-		sink: scfg.sink, extras: scfg.extras, lanes: sc.Lanes,
+		sink: scfg.sink, extras: scfg.extras,
 		traceW: scfg.traceW, metrics: sc.Metrics || scfg.metrics,
 	}
 	if rs.traceW == nil {
 		rs.tracePath = sc.TraceOut
 	}
-	if rs.lanes == 0 {
-		rs.lanes = cluster.MaxBatch
-	}
+	// seedSensitive marks a fleet with a class whose sessions depend on
+	// the derived seed (random replacement policy).
+	seedSensitive := false
 	classIdx := map[SessionSpec]int{}
 	for ni, ns := range sc.Nodes {
 		if ns.Count < 0 {
@@ -527,13 +523,11 @@ func (sc Scenario) resolve(scfg startConfig) (*resolvedScenario, error) {
 			class = len(rs.classOpts)
 			classIdx[ns.Session] = class
 			rs.classOpts = append(rs.classOpts, opts)
-			random := false
 			if ns.Session.Policy != "" {
 				// Already validated by options() above.
 				pol, _ := ParsePolicy(ns.Session.Policy)
-				random = pol == PolicyRandom
+				seedSensitive = seedSensitive || pol == PolicyRandom
 			}
-			rs.classRandom = append(rs.classRandom, random)
 		}
 		count := ns.Count
 		if count == 0 {
@@ -592,31 +586,38 @@ func (sc Scenario) resolve(scfg startConfig) (*resolvedScenario, error) {
 			return nil, fmt.Errorf("protean: scenario expands to more than %d jobs", MaxScenarioJobs)
 		}
 		for i := 0; i < count; i++ {
+			fj.rep = len(rs.jobs)
 			rs.jobs = append(rs.jobs, fj)
 		}
 	}
 	if len(rs.jobs) == 0 {
 		return nil, fmt.Errorf("protean: scenario has no jobs")
 	}
-	// Jobs with the same resolved identity are identical simulations (the
-	// derived seed is the only per-job input, and batching is vetoed for
-	// seed-sensitive sessions): tag each identity with a batch id so the
-	// dispatcher may fold same-identity jobs into one bit-sliced session.
-	// Ids are assigned in first-appearance order, so the tagging — like
-	// everything in resolve — is deterministic.
-	type jobIdentity struct {
-		workload         string
-		instances, items int
-	}
-	batchIDs := map[jobIdentity]int{}
-	for i := range rs.jobs {
-		id := jobIdentity{rs.jobs[i].workload, rs.jobs[i].instances, rs.jobs[i].items}
-		b, ok := batchIDs[id]
-		if !ok {
-			b = len(batchIDs) + 1
-			batchIDs[id] = b
+	// Jobs with the same resolved identity are the same simulation as long
+	// as nothing per-job can reach a session: no class is seed-sensitive,
+	// and no session extras observe the sessions (a shared trace or
+	// disassembly would see one session where per-job execution shows
+	// many). Then each group's first job stands for the group, and its
+	// index plus one is the group's nonzero cluster.Job.Identity, so
+	// Execute runs it once per class. Otherwise every Identity stays 0
+	// and every job executes alone.
+	if !seedSensitive && len(rs.extras) == 0 {
+		type jobIdentity struct {
+			workload         string
+			instances, items int
 		}
-		rs.jobs[i].job.Batch = b
+		first := map[jobIdentity]int{}
+		for i := range rs.jobs {
+			j := &rs.jobs[i]
+			id := jobIdentity{j.workload, j.instances, j.items}
+			rep, ok := first[id]
+			if !ok {
+				rep = i
+				first[id] = i
+			}
+			j.rep = rep
+			j.job.Identity = rep + 1
+		}
 	}
 	if arrivals.Kind == cluster.ArriveTrace && len(arrivals.Times) < len(rs.jobs) {
 		return nil, fmt.Errorf("protean: arrival trace has %d times for %d jobs", len(arrivals.Times), len(rs.jobs))
@@ -781,49 +782,13 @@ func (rs *resolvedScenario) run(ctx context.Context) ([]*FleetResult, error) {
 	}
 
 	ccfg := rs.ccfg
-	// Same-identity jobs may fold into one bit-sliced lane session — but
-	// only when nothing per-job could leak into the shared result: every
-	// class must be seed-insensitive (no random replacement policy) and
-	// there must be no session extras (a shared trace or disassembly
-	// would observe one session where the scalar path observes many).
-	batchable := rs.lanes > 1 && len(rs.extras) == 0 && !slices.Contains(rs.classRandom, true)
-	if batchable {
-		ccfg.Lanes = rs.lanes
-		ccfg.BatchRunner = func(idxs []int, class int, seeds []int64) ([]cluster.Exec, error) {
-			// One lane-engine session stands for the whole batch: the
-			// jobs are identical simulations, so each owns one lane of
-			// the bit-sliced fabric instances and all lanes compute the
-			// same values — the session's Result is every job's Result.
-			j := rs.jobs[idxs[0]]
-			opts := make([]Option, 0, len(rs.classOpts[class])+2)
-			opts = append(opts, rs.classOpts[class]...)
-			opts = append(opts, WithSeed(seeds[0]), withLaneEngine())
-			s, err := New(opts...)
-			if err != nil {
-				return nil, err
-			}
-			if _, err := s.Spawn(j.workload, j.instances, j.items); err != nil {
-				return nil, err
-			}
-			res, err := s.Run(ctx)
-			if err != nil {
-				return nil, err
-			}
-			es := make([]cluster.Exec, len(idxs))
-			for k, i := range idxs {
-				results[class][i] = res
-				es[k] = cluster.Exec{Cycles: res.Cycles}
-			}
-			return es, nil
-		}
-	}
 	if rs.sink != nil {
 		sink := rs.sink
 		ccfg.OnExec = func(i, class int, e cluster.Exec) {
-			// The runner stored results[class][i] before OnExec fires
-			// (same goroutine), so the event carries the verification
-			// verdict.
-			res := results[class][i]
+			// The runner stored the representative's result before
+			// OnExec fires (same goroutine), so the event carries the
+			// verification verdict.
+			res := results[class][rs.jobs[i].rep]
 			ok := res != nil && res.Err() == nil
 			tag := ""
 			if rs.classes > 1 {
@@ -846,6 +811,13 @@ func (rs *resolvedScenario) run(ctx context.Context) ([]*FleetResult, error) {
 	execs, err := cluster.Execute(ccfg, jobs, runner)
 	if err != nil {
 		return nil, err
+	}
+	// Every member of an identity group shares its representative's
+	// Result.
+	for class := range results {
+		for i, j := range rs.jobs {
+			results[class][i] = results[class][j.rep]
+		}
 	}
 	frs := make([]*FleetResult, len(rs.policies))
 	for pi, pol := range rs.policies {
