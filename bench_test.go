@@ -165,6 +165,33 @@ func BenchmarkFleet1kNodes(b *testing.B) {
 	b.ReportMetric(float64(fr.Makespan), "makespan-cycles")
 }
 
+// BenchmarkFleetResultMarshalJSON renders a 4096-job fleet result in
+// which jobs of three identities share their memoized Run — the shape
+// perfbench fleet-wide renders. MB/op is the size of the rendered
+// document.
+func BenchmarkFleetResultMarshalJSON(b *testing.B) {
+	sc := testScenario(0)
+	sc.Nodes[0].Count = 256
+	sc.Placement = protean.PlacementSpec{Policy: "affinity"}
+	for _, w := range []string{"alpha/hw-nosoft", "twofish/hw-nosoft", "echo/hw-nosoft"} {
+		sc.Jobs = append(sc.Jobs, protean.JobSpec{Workload: w, Instances: 2, Count: 4096 / 3})
+	}
+	fr, err := protean.RunScenario(context.Background(), sc)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var out []byte
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if out, err = fr.MarshalJSON(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(len(out))/1e6, "MB/op")
+}
+
 // BenchmarkObsOverhead measures the cost of the observability layer on a
 // fleet scenario run: the timed loop runs untraced, then one probe run
 // with Chrome tracing and metrics enabled measures the traced cost, and

@@ -2,12 +2,13 @@
 // BENCH_fabric.json (the simulation substrates — PFU settle engines,
 // configuration loads, bitstream decode, the equivalence prover) and
 // BENCH_cluster.json (the fleet layer — placement, job throughput with
-// no repeated job identity and at 1k-node scale, placement replay per
-// policy at the scenario caps, and the observability overhead ratio of a
-// traced versus untraced run). Each file runs its benchmark suite for
-// one iteration and records every reported metric (ns/op, allocs, and
-// the custom metrics the benchmarks emit — speedup-vs-gate-x,
-// jobs/sec, obs-overhead-x, ...) as a benchmark-name → metric map.
+// no repeated job identity and at 1k-node scale, FleetResult JSON
+// rendering, placement replay per policy at the scenario caps, and the
+// observability overhead ratio of a traced versus untraced run). Each
+// file runs its benchmark suite for one iteration and records every
+// reported metric (ns/op, allocs, and the custom metrics the benchmarks
+// emit — speedup-vs-gate-x, jobs/sec, obs-overhead-x, ...) as a
+// benchmark-name → metric map.
 //
 // Metric values drift with hardware and load, so CI does not pin them;
 // it runs `benchjson -check`, which regenerates the suites and fails
@@ -66,7 +67,7 @@ var suites = []struct {
 			"(CI checks only the schema - benchmark names and metric keys - not the values)",
 		runs: []benchRun{
 			{".", "^(BenchmarkClusterAffinityVsRoundRobin|BenchmarkClusterDistinctJobs|" +
-				"BenchmarkFleet1kNodes|BenchmarkObsOverhead)$"},
+				"BenchmarkFleet1kNodes|BenchmarkFleetResultMarshalJSON|BenchmarkObsOverhead)$"},
 			{"./internal/cluster", "^BenchmarkReplay$"},
 		},
 	},

@@ -17,6 +17,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -94,11 +95,20 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		out, err := json.MarshalIndent(fr, "", "  ")
+		// json.MarshalIndent would compact MarshalJSON's output once more
+		// before indenting it; indenting it directly gives the same bytes.
+		compact, err := fr.MarshalJSON()
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Println(string(out))
+		var out bytes.Buffer
+		if err := json.Indent(&out, compact, "", "  "); err != nil {
+			fatal(err)
+		}
+		out.WriteByte('\n')
+		if _, err := out.WriteTo(os.Stdout); err != nil {
+			fatal(err)
+		}
 	case "metrics":
 		snap, err := c.Metrics()
 		if err != nil {

@@ -4,7 +4,8 @@
 // in-process fleet runner, and streams progress and results back to
 // clients. SIGINT/SIGTERM drain gracefully — running jobs finish and
 // queued replies flush before the sockets close; a second signal
-// forces exit.
+// cancels the running jobs, which finish as canceled, and the daemon
+// exits once they have stopped.
 //
 // Usage:
 //
@@ -14,6 +15,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"net"
@@ -71,16 +73,22 @@ func main() {
 	sigc := make(chan os.Signal, 2)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
 	sig := <-sigc
-	fmt.Fprintf(os.Stderr, "proteand: %v: draining (signal again to force exit)\n", sig)
+	fmt.Fprintf(os.Stderr, "proteand: %v: draining (signal again to cancel running jobs)\n", sig)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	go func() {
 		<-sigc
-		fmt.Fprintln(os.Stderr, "proteand: forced exit")
-		os.Exit(1)
+		fmt.Fprintln(os.Stderr, "proteand: canceling running jobs")
+		cancel()
 	}()
-	srv.Shutdown()
+	drainErr := srv.ShutdownContext(ctx)
 	wg.Wait()
 	if *unixPath != "" {
 		os.Remove(*unixPath)
+	}
+	if drainErr != nil {
+		fmt.Fprintf(os.Stderr, "proteand: drain cut short: %v\n", drainErr)
+		os.Exit(1)
 	}
 	fmt.Fprintln(os.Stderr, "proteand: drained")
 }

@@ -1,6 +1,7 @@
 package protean
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -166,11 +167,77 @@ func (r *FleetResult) WriteCSV(w io.Writer) error { return r.Table().WriteCSV(w)
 // MarshalJSON renders the fleet result with its derived quantities
 // attached: the FleetResult fields plus "config_loads" (ConfigLoads) and
 // "error" (Err's message, "" on success).
+//
+// The bytes are exactly those of encoding/json's reflect walk over these
+// fields, but each distinct Run is encoded once per call: the jobs of an
+// execution-memo group share one *Result (DESIGN.md §12), which the walk
+// would re-encode for every job. TestFleetResultJSONDifferential pins the
+// bytes against the reflect encoder.
 func (r *FleetResult) MarshalJSON() ([]byte, error) {
 	type plain FleetResult // drop the method set to avoid recursion
-	return json.Marshal(struct {
+	head := *r
+	head.Jobs = nil
+	top, err := json.Marshal(struct {
 		*plain
 		ConfigLoads uint64 `json:"config_loads"`
 		Error       string `json:"error"`
-	}{(*plain)(r), r.ConfigLoads(), errString(r.Err())})
+	}{(*plain)(&head), r.ConfigLoads(), errString(r.Err())})
+	if err != nil || r.Jobs == nil {
+		return top, err
+	}
+	// Only Policy, a string whose quotes encode escaped, and Nodes, all
+	// numbers, precede Jobs, so the first match is the top-level key.
+	const jobsKey = `"Jobs":`
+	at := bytes.Index(top, []byte(jobsKey+"null")) + len(jobsKey)
+
+	// Encode every job with Run nil, so that each ends in the Run field's
+	// "null}", and note where it ends; encode each distinct Run once (as
+	// the walk does: MarshalJSON, then compaction). That fixes the size.
+	var jobs bytes.Buffer
+	enc := json.NewEncoder(&jobs)
+	ends := make([]int, len(r.Jobs))
+	runs := map[*Result][]byte{}
+	size := len(top) - len("null") + len("[]") + len(r.Jobs) // commas: at most one per job
+	var job JobResult
+	for i := range r.Jobs {
+		job = r.Jobs[i]
+		job.Run = nil
+		if err := enc.Encode(&job); err != nil {
+			return nil, err
+		}
+		jobs.Truncate(jobs.Len() - len("\n")) // Encode's line terminator
+		ends[i] = jobs.Len()
+		if run := r.Jobs[i].Run; run != nil {
+			b, ok := runs[run]
+			if !ok {
+				if b, err = json.Marshal(run); err != nil {
+					return nil, err
+				}
+				runs[run] = b
+			}
+			size += len(b) - len("null")
+		}
+	}
+	size += jobs.Len()
+
+	// Splice each job's Run encoding over its null.
+	out := make([]byte, 0, size)
+	out = append(out, top[:at]...)
+	out = append(out, '[')
+	encoded, start := jobs.Bytes(), 0
+	for i, end := range ends {
+		if i > 0 {
+			out = append(out, ',')
+		}
+		if run := r.Jobs[i].Run; run != nil {
+			out = append(out, encoded[start:end-len("null}")]...)
+			out = append(out, runs[run]...)
+			out = append(out, '}')
+		} else {
+			out = append(out, encoded[start:end]...)
+		}
+		start = end
+	}
+	out = append(out, ']')
+	return append(out, top[at+len("null"):]...), nil
 }

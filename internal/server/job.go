@@ -111,7 +111,8 @@ func (j *job) finish(fr *protean.FleetResult, err error) string {
 	case err == nil:
 		j.state = wire.StateDone
 		j.fleet = fr
-	case j.canceled && errors.Is(err, context.Canceled):
+	case (j.canceled || j.srv.baseCtx.Err() != nil) && errors.Is(err, context.Canceled):
+		// Canceled by a client, or by a shutdown whose deadline passed.
 		j.state = wire.StateCanceled
 		j.errMsg = err.Error()
 	default:

@@ -160,8 +160,16 @@ func (s *Server) Serve(l net.Listener) error {
 // Shutdown drains the server: stop accepting connections, reject new
 // submissions, wait for every running job to finish (delivering Done
 // frames to watchers), then close client connections gracefully —
-// queued reply frames are flushed before the sockets close.
-func (s *Server) Shutdown() {
+// queued reply frames are flushed before the sockets close. It waits
+// without a deadline; ShutdownContext bounds the wait.
+func (s *Server) Shutdown() { s.ShutdownContext(context.Background()) }
+
+// ShutdownContext drains the server like Shutdown, but once ctx is
+// done it cancels every running and queued job instead of waiting for
+// them: they finish as canceled, and their watchers still get Done
+// frames before the connections close. It returns ctx.Err() when it
+// canceled jobs, nil when they all finished by themselves.
+func (s *Server) ShutdownContext(ctx context.Context) error {
 	s.mu.Lock()
 	s.draining = true
 	ls := append([]net.Listener(nil), s.listeners...)
@@ -169,7 +177,12 @@ func (s *Server) Shutdown() {
 	for _, l := range ls {
 		l.Close()
 	}
+	stop := context.AfterFunc(ctx, s.baseCancel)
 	s.jobWG.Wait()
+	var err error
+	if !stop() { // ctx was done first, and baseCancel canceled the jobs
+		err = ctx.Err()
+	}
 	s.mu.Lock()
 	cs := append([]*conn(nil), s.conns...)
 	s.mu.Unlock()
@@ -178,6 +191,7 @@ func (s *Server) Shutdown() {
 	}
 	s.connWG.Wait()
 	s.baseCancel()
+	return err
 }
 
 // startJob registers and launches one scenario job.

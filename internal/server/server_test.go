@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"net"
 	"os"
 	"path/filepath"
@@ -11,6 +12,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"protean"
 	"protean/internal/wire"
@@ -434,6 +436,65 @@ func TestDaemonDrain(t *testing.T) {
 	}
 	// Shutdown is idempotent.
 	srv.Shutdown()
+}
+
+// TestDaemonShutdownDeadline runs a job far longer than the test and
+// drains the daemon under a short deadline: ShutdownContext must
+// return promptly with the deadline's error, the job must finish as
+// canceled, and its watcher must still get the Done frame.
+func TestDaemonShutdownDeadline(t *testing.T) {
+	srv, addr := startTestServer(t, Config{})
+	c := dialTest(t, addr)
+	sc := protean.Scenario{
+		Seed:  41,
+		Nodes: []protean.NodeSpec{{Session: protean.SessionSpec{Scale: 800}}},
+		Jobs:  []protean.JobSpec{{Workload: "echo/hw-nosoft", Items: protean.MaxScenarioItems}},
+	}
+	spec, err := json.Marshal(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	job, err := c.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, err := srv.lookup(job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	watched := make(chan wire.Done, 1)
+	wc := dialTest(t, addr)
+	go func() {
+		done, err := wc.Watch(job, nil, nil)
+		if err != nil {
+			t.Errorf("watch: %v", err)
+		}
+		watched <- done
+	}()
+	// The Watch request has no reply before Done; wait until the
+	// daemon has registered it.
+	for j.watchers.Load() == nil {
+		time.Sleep(time.Millisecond)
+	}
+	if st := j.status(); st.State != wire.StateRunning {
+		t.Fatalf("status before shutdown: %+v", st)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	if err := srv.ShutdownContext(ctx); !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("ShutdownContext = %v, want the deadline's error", err)
+	}
+	if d := time.Since(start); d > 10*time.Second {
+		t.Errorf("ShutdownContext took %v with a running job", d)
+	}
+	if done := <-watched; done.State != wire.StateCanceled {
+		t.Errorf("watched job finished as %q (%s), want canceled", done.State, done.Err)
+	}
+	if st := j.status(); st.State != wire.StateCanceled {
+		t.Errorf("job after shutdown: %+v", st)
+	}
 }
 
 // TestDaemonSoak drives hundreds of concurrent submitters — each with
